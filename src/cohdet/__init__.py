@@ -8,13 +8,7 @@ Monte Carlo validator, and an independent spatial-grid oracle that rebuilds
 everything by brute force.
 """
 
-from .errors import (
-    CohdetError,
-    DegenerateScenarioError,
-    DomainError,
-    GridAccuracyError,
-    InvalidEventError,
-)
+from .errors import CohdetError, DegenerateScenarioError, DomainError, GridAccuracyError
 from .helstrom import (
     BoundReport,
     bound_report,
@@ -26,7 +20,7 @@ from .helstrom import (
     trace_norm,
     useless_boundary,
 )
-from .montecarlo import EmpiricalResult, TrialConfig, run_simulation, sample_trial
+from .montecarlo import EmpiricalResult, TrialConfig, run_simulation
 from .oracle import (
     GridState,
     SpatialGrid,
@@ -37,17 +31,7 @@ from .oracle import (
     grid_rho2,
     psf_state,
 )
-from .spade import (
-    GAUSSIAN_CLICK,
-    NONGAUSSIAN_CLICK,
-    DetectorEvent,
-    Hypothesis,
-    ProbTable,
-    decide,
-    event_probs,
-    spade_advantage,
-    spade_error,
-)
+from .spade import spade_advantage, spade_error
 from .states import (
     DensityMatrix2,
     Observable2,
@@ -78,17 +62,11 @@ __all__ = [
     "CohdetError",
     "DegenerateScenarioError",
     "DensityMatrix2",
-    "DetectorEvent",
     "DomainError",
     "EmpiricalResult",
-    "GAUSSIAN_CLICK",
     "GridAccuracyError",
     "GridState",
-    "Hypothesis",
-    "InvalidEventError",
-    "NONGAUSSIAN_CLICK",
     "Observable2",
-    "ProbTable",
     "ScenarioParams",
     "SpatialGrid",
     "SweepRow",
@@ -96,12 +74,10 @@ __all__ = [
     "TrialConfig",
     "VerificationReport",
     "bound_report",
-    "decide",
     "direct_error",
     "effective_coherence",
     "eigenvalues_sym2",
     "equivalence_report",
-    "event_probs",
     "format_sig",
     "grid_helstrom",
     "grid_overlap",
@@ -118,7 +94,6 @@ __all__ = [
     "rho1",
     "rho2",
     "run_simulation",
-    "sample_trial",
     "spade_advantage",
     "spade_error",
     "sweep_row",

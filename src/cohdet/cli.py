@@ -41,6 +41,17 @@ def _parse_range(text: str) -> tuple[float, float, int]:
         raise argparse.ArgumentTypeError(f"expected MIN:MAX:STEPS, got {text!r}") from exc
 
 
+def _parse_count(text: str) -> int:
+    """A whole number, also in an integral float spelling such as 1e7."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value.is_integer():
+        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}")
+    return int(value)
+
+
 def _add_scenario_flags(parser: argparse.ArgumentParser, with_k: bool = True, with_p: bool = True) -> None:
     if with_k:
         parser.add_argument("--k", type=float, required=True, help="separation in PSF widths")
@@ -232,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="seeded Monte Carlo self-test")
     _add_scenario_flags(simulate)
-    simulate.add_argument("--photons", type=int, default=100000, help="registered one-photon trials")
+    simulate.add_argument("--photons", type=_parse_count, default=100000,
+                          help="registered one-photon trials")
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--epsilon", type=float, default=None,
                           help="mean photon number per emission attempt (enables vacuum modelling)")

@@ -15,10 +15,6 @@ class DegenerateScenarioError(CohdetError, ValueError):
     sources), so every derived quantity would diverge."""
 
 
-class InvalidEventError(CohdetError, ValueError):
-    """A detector click pattern that cannot occur in the single-photon model."""
-
-
 class GridAccuracyError(CohdetError, ValueError):
     """A spatial grid is too coarse or too short to meet the accuracy the
     brute-force reconstruction promises."""

@@ -1,10 +1,11 @@
 """Seeded per-photon simulation used to validate the analytic error rates.
 
-Each registered photon is one independent trial: draw the true hypothesis
-from the prior, draw the click pattern from its event table, apply the
-decision rule.  Streams come from a counter-based generator so a run is
-bit-reproducible from its seed, sharded deterministically so large photon
-budgets can be split without changing the result.
+Each registered photon is one independent trial of the mode-sorting rule:
+draw whether the second source exists from the prior, then, if it does,
+whether its photon lands in the Gaussian mode, where the rule misses it.
+Streams come from a counter-based generator so a run is bit-reproducible
+from its seed, sharded deterministically so large photon budgets can be
+split without changing the result.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .spade import GAUSSIAN_CLICK, NONGAUSSIAN_CLICK, DetectorEvent, Hypothesis, decide, event_probs, spade_error
+from .spade import spade_error
 from .states import ScenarioParams
 
 #: Trials per RNG shard; each shard owns an independent substream.
@@ -73,17 +74,6 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key)))
 
 
-def sample_trial(
-    params: ScenarioParams, rng: np.random.Generator
-) -> tuple[Hypothesis, DetectorEvent, Hypothesis]:
-    """Draw one registered photon: (true hypothesis, event, decision)."""
-    q2 = event_probs(Hypothesis.H2, params.delta, params.c).p_on_off
-    truth = Hypothesis.H2 if rng.random() < params.p else Hypothesis.H1
-    gaussian_prob = q2 if truth is Hypothesis.H2 else 1.0
-    event = GAUSSIAN_CLICK if rng.random() < gaussian_prob else NONGAUSSIAN_CLICK
-    return truth, event, decide(event)
-
-
 def run_simulation(config: TrialConfig) -> EmpiricalResult:
     """Run config.n_photons independent trials and compare against the
     analytic error rate.
@@ -94,7 +84,7 @@ def run_simulation(config: TrialConfig) -> EmpiricalResult:
     trial outcome unchanged.
     """
     params = config.params
-    q2 = event_probs(Hypothesis.H2, params.delta, params.c).p_on_off
+    q2 = spade_error(params.delta, params.c, 1.0)
 
     n_errors = 0
     remaining = config.n_photons

@@ -34,20 +34,18 @@ _COLINEAR_EPS = 1e-7
 
 @dataclass(frozen=True)
 class SpatialGrid:
-    """Uniform 1-D sampling window for the image-plane wavefunctions."""
+    """Uniform 1-D sampling window for the image-plane wavefunctions, in
+    units of the PSF width sigma."""
 
     x_min: float
     x_max: float
     n_points: int = 4001
-    sigma: float = 1.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)) or self.x_max <= self.x_min:
             raise DomainError(f"invalid grid window [{self.x_min!r}, {self.x_max!r}]")
         if int(self.n_points) != self.n_points or self.n_points < 2:
             raise DomainError(f"n_points must be an integer >= 2, got {self.n_points!r}")
-        if not math.isfinite(self.sigma) or self.sigma <= 0.0:
-            raise DomainError(f"sigma must be positive, got {self.sigma!r}")
 
     @classmethod
     def for_separation(cls, k: float, n_points: int = 4001) -> "SpatialGrid":
@@ -74,19 +72,19 @@ class SpatialGrid:
 
     def require_accuracy(self, k: float) -> None:
         """Reject grids that cannot support the promised 1e-6 agreement for
-        sources at 0 and k*sigma."""
+        sources at 0 and k."""
         if self.n_points < MIN_POINTS:
             raise GridAccuracyError(f"need at least {MIN_POINTS} points, got {self.n_points}")
-        if self.spacing > MAX_SPACING * self.sigma:
+        if self.spacing > MAX_SPACING:
             raise GridAccuracyError(
                 f"spacing {self.spacing:.4g} exceeds {MAX_SPACING} sigma"
             )
-        if self.x_max - self.x_min < (2.0 * MARGIN + k) * self.sigma:
+        if self.x_max - self.x_min < 2.0 * MARGIN + k:
             raise GridAccuracyError(
                 f"window [{self.x_min}, {self.x_max}] too short for separation {k}"
             )
         midpoint = 0.5 * (self.x_min + self.x_max)
-        if abs(midpoint - 0.5 * k * self.sigma) > 1e-9 * self.sigma:
+        if abs(midpoint - 0.5 * k) > 1e-9:
             raise GridAccuracyError(
                 f"window must be symmetric about the source midpoint {0.5 * k}, centre is {midpoint}"
             )
@@ -108,9 +106,7 @@ class GridState:
 def psf_state(grid: SpatialGrid, center: float) -> GridState:
     """Sample the Gaussian PSF wavefunction centred at `center` and
     renormalize it numerically on the grid."""
-    raw = (2.0 * math.pi * grid.sigma**2) ** -0.25 * np.exp(
-        -((grid.xs - center) ** 2) / (4.0 * grid.sigma**2)
-    )
+    raw = (2.0 * math.pi) ** -0.25 * np.exp(-((grid.xs - center) ** 2) / 4.0)
     norm = math.sqrt(float(np.sum(raw * raw * grid.weights)))
     return GridState(grid, raw / norm)
 
@@ -120,7 +116,7 @@ def _inner(grid: SpatialGrid, a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _source_states(grid: SpatialGrid, k: float) -> tuple[np.ndarray, np.ndarray]:
-    return psf_state(grid, 0.0).amplitudes, psf_state(grid, k * grid.sigma).amplitudes
+    return psf_state(grid, 0.0).amplitudes, psf_state(grid, k).amplitudes
 
 
 def _orthonormal_pair(
@@ -232,7 +228,6 @@ def equivalence_report(
     c_values: list[float] | None = None,
     p_values: list[float] | None = None,
     n_points: int = 4001,
-    tolerance: float = 1e-6,
 ) -> VerificationReport:
     """Sweep a (k, c, p) verification grid and report the worst |grid -
     closed form| discrepancy for the overlap, the two-source state and the
@@ -268,4 +263,4 @@ def equivalence_report(
                 worst_helstrom = max(
                     worst_helstrom, abs(grid_helstrom(params, grid) - helstrom_bound(params))
                 )
-    return VerificationReport(worst_overlap, worst_rho2, worst_helstrom, tolerance)
+    return VerificationReport(worst_overlap, worst_rho2, worst_helstrom)

@@ -11,53 +11,10 @@ resulting decision rule needs no prior knowledge at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 
-from .errors import DomainError, InvalidEventError
+from .errors import DomainError
 from .helstrom import direct_error
 from .states import ScenarioParams, _require_admissible
-
-
-class Hypothesis(Enum):
-    """H1: a single source; H2: two partially coherent sources."""
-
-    H1 = 1
-    H2 = 2
-
-
-@dataclass(frozen=True)
-class DetectorEvent:
-    """Click pattern of the (Gaussian-mode, complement-mode) detector pair."""
-
-    gaussian_on: bool
-    nongaussian_on: bool
-
-
-GAUSSIAN_CLICK = DetectorEvent(gaussian_on=True, nongaussian_on=False)
-NONGAUSSIAN_CLICK = DetectorEvent(gaussian_on=False, nongaussian_on=True)
-
-
-@dataclass(frozen=True)
-class ProbTable:
-    """Joint probabilities of the four click patterns for one hypothesis,
-    ordered as (Gaussian detector, complement detector)."""
-
-    p_on_off: float
-    p_on_on: float
-    p_off_off: float
-    p_off_on: float
-
-    def __post_init__(self) -> None:
-        for name in ("p_on_off", "p_on_on", "p_off_off", "p_off_on"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or not 0.0 <= value <= 1.0:
-                raise DomainError(f"probability {name} must lie in [0, 1], got {value!r}")
-        if abs(self.total() - 1.0) > 1e-12:
-            raise DomainError(f"event probabilities sum to {self.total()!r}, not 1")
-
-    def total(self) -> float:
-        return self.p_on_off + self.p_on_on + self.p_off_off + self.p_off_on
 
 
 def _gaussian_click_prob(delta: float, c: float) -> float:
@@ -65,26 +22,6 @@ def _gaussian_click_prob(delta: float, c: float) -> float:
     # (delta + c)**2 + 1 - c**2 so the ratio always lands in [0, 1].
     q = (1.0 + delta * delta + 2.0 * delta * c) / (2.0 * (1.0 + delta * c))
     return min(1.0, max(0.0, q))
-
-
-def event_probs(hypothesis: Hypothesis, delta: float, c: float) -> ProbTable:
-    """Click probabilities for one registered photon under `hypothesis`."""
-    _require_admissible(delta, c)
-    if hypothesis is Hypothesis.H1:
-        return ProbTable(1.0, 0.0, 0.0, 0.0)
-    q = _gaussian_click_prob(delta, c)
-    return ProbTable(q, 0.0, 0.0, 1.0 - q)
-
-
-def decide(event: DetectorEvent) -> Hypothesis:
-    """Accept H2 on a complement-mode click, H1 otherwise.
-
-    Exactly one detector fires per registered photon; any other pattern is
-    rejected as impossible in this model.
-    """
-    if event.gaussian_on == event.nongaussian_on:
-        raise InvalidEventError(f"impossible click pattern {event!r}")
-    return Hypothesis.H2 if event.nongaussian_on else Hypothesis.H1
 
 
 def spade_error(delta: float, c: float, p: float) -> float:
@@ -96,7 +33,8 @@ def spade_error(delta: float, c: float, p: float) -> float:
     """
     if not math.isfinite(p) or not 0.0 <= p <= 1.0:
         raise DomainError(f"prior p must lie in [0, 1], got {p!r}")
-    return p * event_probs(Hypothesis.H2, delta, c).p_on_off
+    _require_admissible(delta, c)
+    return p * _gaussian_click_prob(delta, c)
 
 
 def spade_advantage(params: ScenarioParams) -> float:

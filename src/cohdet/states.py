@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DegenerateScenarioError, DomainError
 
 #: Threshold below which 1 + delta*c is treated as singular.
@@ -124,9 +122,6 @@ class Observable2:
 
     def det(self) -> float:
         return self.a11 * self.a22 - self.a12 * self.a12
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.a11, self.a12], [self.a12, self.a22]])
 
 
 @dataclass(frozen=True)

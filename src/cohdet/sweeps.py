@@ -24,17 +24,17 @@ COLUMNS: tuple[str, ...] = tuple(CSV_HEADER.split(","))
 DEGENERATE_SENTINEL = "degenerate"
 
 
-def format_sig(x: float, sig: int = 9) -> str:
-    """Fixed decimal with `sig` significant digits and no exponent notation."""
+def format_sig(x: float) -> str:
+    """Fixed decimal with 9 significant digits and no exponent notation."""
     if math.isnan(x):
         return "nan"
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
     if x == 0.0:
-        return "0." + "0" * (sig - 1)
+        return "0.00000000"
     exponent = math.floor(math.log10(abs(x)))
     for _ in range(2):
-        decimals = max(sig - 1 - exponent, 0)
+        decimals = max(8 - exponent, 0)
         text = f"{x:.{decimals}f}"
         rounded = abs(float(text))
         new_exponent = math.floor(math.log10(rounded)) if rounded > 0.0 else exponent
@@ -65,7 +65,6 @@ class SweepSpec:
     p_steps: int
     gamma: float = 0.0
     theta: float = 0.0
-    outputs: tuple[str, ...] = COLUMNS
 
     def __post_init__(self) -> None:
         for name, lo, hi, steps in (
@@ -84,9 +83,6 @@ class SweepSpec:
             raise DomainError(f"gamma must lie in [0, 1], got {self.gamma!r}")
         if not math.isfinite(self.theta):
             raise DomainError(f"theta must be finite, got {self.theta!r}")
-        unknown = set(self.outputs) - set(COLUMNS)
-        if unknown:
-            raise DomainError(f"unknown output columns: {sorted(unknown)}")
 
     def k_values(self) -> list[float]:
         return _linspace(self.k_min, self.k_max, self.k_steps)
@@ -157,20 +153,20 @@ def _cell(row: SweepRow, column: str) -> str:
     return format_sig(value)
 
 
-def render_csv(rows: list[SweepRow], outputs: tuple[str, ...] = COLUMNS) -> str:
+def render_csv(rows: list[SweepRow]) -> str:
     """UTF-8/LF CSV text; no field ever needs quoting."""
-    lines = [",".join(outputs)]
-    lines.extend(",".join(_cell(row, name) for name in outputs) for row in rows)
+    lines = [CSV_HEADER]
+    lines.extend(",".join(_cell(row, name) for name in COLUMNS) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def render_json(rows: list[SweepRow], outputs: tuple[str, ...] = COLUMNS) -> str:
+def render_json(rows: list[SweepRow]) -> str:
     """JSON array of row objects using the same fixed decimal tokens as the
     CSV rendering (strings for the sentinel column, numbers elsewhere)."""
     entries = []
     for row in rows:
         parts = []
-        for name in outputs:
+        for name in COLUMNS:
             if name == "useless":
                 if row.degenerate:
                     parts.append(f'"useless": "{DEGENERATE_SENTINEL}"')

@@ -171,6 +171,25 @@ class TestSimulate:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("photons", ["1e4", "10000.0"])
+    def test_photons_accepts_integral_floats(self, capsys, photons):
+        args = ("simulate", "--k", "1", "--seed", "4")
+        code, out, _ = run_cli(capsys, *args, "--photons", photons)
+        assert code == 0
+        assert json.loads(out)["n_trials"] == 10000
+        assert out == run_cli(capsys, *args, "--photons", "10000")[1]
+
+    @pytest.mark.parametrize("photons", ["1.5", "many", "nan", "inf"])
+    def test_photons_rejects_non_integral_values(self, photons):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--k", "1", "--photons", photons])
+        assert exc.value.code == 2
+
+    def test_zero_photons_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--k", "1", "--photons", "0")
+        assert code == 2
+        assert "n_photons" in err
+
 
 class TestVerify:
     def test_default_grid_passes(self, capsys):

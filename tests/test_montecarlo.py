@@ -2,19 +2,8 @@ import math
 
 import pytest
 
-from cohdet import (
-    GAUSSIAN_CLICK,
-    NONGAUSSIAN_CLICK,
-    DomainError,
-    Hypothesis,
-    ScenarioParams,
-    TrialConfig,
-    decide,
-    run_simulation,
-    sample_trial,
-    spade_error,
-)
-from cohdet.montecarlo import SHARD_SIZE, _stream
+from cohdet import DomainError, ScenarioParams, TrialConfig, run_simulation, spade_error
+from cohdet.montecarlo import SHARD_SIZE
 
 BASE = ScenarioParams(k=2.0, gamma=0.0, theta=0.0, p=0.5)
 
@@ -30,32 +19,6 @@ class TestTrialConfig:
     def test_rejects_bad_epsilon(self, eps):
         with pytest.raises(DomainError):
             TrialConfig(BASE, 100, 1, epsilon=eps)
-
-
-class TestSampleTrial:
-    def test_deterministic_degenerate_stream(self):
-        params = ScenarioParams(k=0.0, gamma=0.0, theta=0.0, p=1.0)
-        rng = _stream(123, 0, 0)
-        for _ in range(50):
-            truth, event, decision = sample_trial(params, rng)
-            assert truth is Hypothesis.H2
-            assert event == GAUSSIAN_CLICK
-            assert decision is Hypothesis.H1
-
-    def test_single_source_prior_never_errs(self):
-        params = ScenarioParams(k=2.0, gamma=0.0, theta=0.0, p=0.0)
-        rng = _stream(7, 0, 0)
-        for _ in range(50):
-            truth, event, decision = sample_trial(params, rng)
-            assert truth is Hypothesis.H1
-            assert decision is Hypothesis.H1
-
-    def test_events_are_always_legal(self):
-        rng = _stream(99, 0, 0)
-        for _ in range(1000):
-            truth, event, decision = sample_trial(BASE, rng)
-            assert event in (GAUSSIAN_CLICK, NONGAUSSIAN_CLICK)
-            assert decision is decide(event)
 
 
 class TestRunSimulation:

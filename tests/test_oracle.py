@@ -36,8 +36,6 @@ class TestSpatialGrid:
             SpatialGrid(1.0, 1.0)
         with pytest.raises(DomainError):
             SpatialGrid(0.0, 1.0, n_points=1)
-        with pytest.raises(DomainError):
-            SpatialGrid(0.0, 1.0, sigma=-1.0)
 
     def test_accuracy_requirements(self):
         with pytest.raises(GridAccuracyError):

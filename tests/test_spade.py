@@ -6,16 +6,8 @@ from hypothesis import assume, given
 from conftest import admissible_delta_c, finite_floats, linspace, scenario_params
 
 from cohdet import (
-    GAUSSIAN_CLICK,
-    NONGAUSSIAN_CLICK,
-    DetectorEvent,
     DomainError,
-    Hypothesis,
-    InvalidEventError,
-    ProbTable,
     ScenarioParams,
-    decide,
-    event_probs,
     helstrom_bound,
     overlap,
     qod_advantage,
@@ -28,46 +20,18 @@ A_D_K2 = 1.4621171572600098
 
 
 class TestEventProbs:
-    @given(admissible_delta_c())
-    def test_single_source_always_hits_gaussian_mode(self, delta_c):
-        table = event_probs(Hypothesis.H1, *delta_c)
-        assert (table.p_on_off, table.p_on_on, table.p_off_off, table.p_off_on) == (1.0, 0.0, 0.0, 0.0)
+    """spade_error at p = 1 is the probability that a two-source photon
+    clicks the Gaussian-mode detector."""
 
     def test_coincident_two_sources(self):
-        table = event_probs(Hypothesis.H2, 1.0, 0.37)
-        assert table.p_on_off == 1.0
-        assert table.p_off_on == 0.0
+        assert spade_error(1.0, 0.37, 1.0) == 1.0
 
     def test_orthogonal_incoherent_two_sources(self):
-        table = event_probs(Hypothesis.H2, 0.0, 0.0)
-        assert table.p_on_off == 0.5
-        assert table.p_off_on == 0.5
+        assert spade_error(0.0, 0.0, 1.0) == 0.5
 
     @given(admissible_delta_c())
-    def test_rows_normalized_and_single_click_only(self, delta_c):
-        table = event_probs(Hypothesis.H2, *delta_c)
-        assert abs(table.total() - 1.0) <= 1e-12
-        assert table.p_on_on == 0.0 and table.p_off_off == 0.0
-        assert 0.0 <= table.p_on_off <= 1.0
-
-    def test_prob_table_validation(self):
-        with pytest.raises(DomainError):
-            ProbTable(0.5, 0.0, 0.0, 0.4)
-        with pytest.raises(DomainError):
-            ProbTable(1.2, 0.0, 0.0, -0.2)
-
-
-class TestDecide:
-    def test_rule(self):
-        assert decide(DetectorEvent(False, True)) is Hypothesis.H2
-        assert decide(DetectorEvent(True, False)) is Hypothesis.H1
-        assert decide(NONGAUSSIAN_CLICK) is Hypothesis.H2
-        assert decide(GAUSSIAN_CLICK) is Hypothesis.H1
-
-    @pytest.mark.parametrize("event", [DetectorEvent(True, True), DetectorEvent(False, False)])
-    def test_impossible_patterns_rejected(self, event):
-        with pytest.raises(InvalidEventError):
-            decide(event)
+    def test_gaussian_click_is_a_probability(self, delta_c):
+        assert 0.0 <= spade_error(*delta_c, 1.0) <= 1.0
 
 
 class TestSpadeError:
@@ -85,7 +49,7 @@ class TestSpadeError:
     @given(admissible_delta_c(), finite_floats(0.0, 1.0))
     def test_equals_prior_times_miss_probability(self, delta_c, p):
         delta, c = delta_c
-        miss = event_probs(Hypothesis.H2, delta, c).p_on_off
+        miss = spade_error(delta, c, 1.0)
         assert spade_error(delta, c, p) == p * miss
 
     @given(admissible_delta_c())

@@ -201,7 +201,3 @@ class TestMatrixTypes:
     def test_density_matrix_rejects_indefinite(self):
         with pytest.raises(DomainError):
             DensityMatrix2(0.5, 0.6, 0.5)
-
-    def test_as_array_is_symmetric(self):
-        m = Observable2(0.3, -0.2, 0.1).as_array()
-        assert m[0, 1] == m[1, 0] == -0.2

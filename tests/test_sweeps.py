@@ -67,10 +67,6 @@ class TestSweepSpec:
         with pytest.raises(DomainError):
             SweepSpec(**kwargs)
 
-    def test_rejects_unknown_output_columns(self):
-        with pytest.raises(DomainError):
-            SweepSpec(0.0, 1.0, 2, 0.0, 1.0, 2, outputs=("k", "p", "bogus"))
-
 
 class TestSweepRows:
     def test_row_major_order_and_count(self):
