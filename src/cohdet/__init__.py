@@ -6,7 +6,12 @@ system, the minimum-error (Helstrom) probability bound and its advantage
 over blind guessing, a practical binary mode-sorting strategy, a seeded
 Monte Carlo validator, and an independent spatial-grid oracle that rebuilds
 everything by brute force.
+
+Only the validator and the oracle need numpy; their names load on first
+use, so importing the package for bounds and sweeps does not import it.
 """
+
+import importlib
 
 from .errors import CohdetError, DegenerateScenarioError, DomainError, GridAccuracyError
 from .helstrom import (
@@ -19,17 +24,6 @@ from .helstrom import (
     qod_advantage,
     trace_norm,
     useless_boundary,
-)
-from .montecarlo import EmpiricalResult, TrialConfig, run_simulation
-from .oracle import (
-    GridState,
-    SpatialGrid,
-    VerificationReport,
-    equivalence_report,
-    grid_helstrom,
-    grid_overlap,
-    grid_rho2,
-    psf_state,
 )
 from .spade import spade_advantage, spade_error
 from .states import (
@@ -50,54 +44,34 @@ from .sweeps import (
     format_sig,
     render_csv,
     render_json,
-    sweep_row,
     sweep_rows,
 )
+
+#: Names served by the numpy-backed modules, imported on first access.
+_LAZY = dict.fromkeys(("EmpiricalResult", "TrialConfig", "run_simulation"), "montecarlo")
+_LAZY.update(dict.fromkeys((
+    "GridState", "SpatialGrid", "VerificationReport", "equivalence_report", "grid_helstrom",
+    "grid_overlap", "grid_rho2", "psf_state"), "oracle"))
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport",
-    "CSV_HEADER",
-    "CohdetError",
-    "DegenerateScenarioError",
-    "DensityMatrix2",
-    "DomainError",
-    "EmpiricalResult",
-    "GridAccuracyError",
-    "GridState",
-    "Observable2",
-    "ScenarioParams",
-    "SpatialGrid",
-    "SweepRow",
-    "SweepSpec",
-    "TrialConfig",
-    "VerificationReport",
-    "bound_report",
-    "direct_error",
-    "effective_coherence",
-    "eigenvalues_sym2",
-    "equivalence_report",
-    "format_sig",
-    "grid_helstrom",
-    "grid_overlap",
-    "grid_rho2",
-    "helstrom_bound",
-    "in_useless_region",
-    "lambda_matrix",
-    "normalization",
-    "overlap",
-    "psf_state",
-    "qod_advantage",
-    "render_csv",
-    "render_json",
-    "rho1",
-    "rho2",
-    "run_simulation",
-    "spade_advantage",
-    "spade_error",
-    "sweep_row",
-    "sweep_rows",
-    "trace_norm",
+    "BoundReport", "CSV_HEADER", "CohdetError", "DegenerateScenarioError", "DensityMatrix2",
+    "DomainError", "EmpiricalResult", "GridAccuracyError", "GridState", "Observable2",
+    "ScenarioParams", "SpatialGrid", "SweepRow", "SweepSpec", "TrialConfig",
+    "VerificationReport", "bound_report", "direct_error", "effective_coherence",
+    "eigenvalues_sym2", "equivalence_report", "format_sig", "grid_helstrom", "grid_overlap",
+    "grid_rho2", "helstrom_bound", "in_useless_region", "lambda_matrix", "normalization",
+    "overlap", "psf_state", "qod_advantage", "render_csv", "render_json", "rho1", "rho2",
+    "run_simulation", "spade_advantage", "spade_error", "sweep_rows", "trace_norm",
     "useless_boundary",
 ]

@@ -19,10 +19,8 @@ import sys
 
 from .errors import DegenerateScenarioError, DomainError, GridAccuracyError
 from .helstrom import bound_report, eigenvalues_sym2, useless_boundary
-from .montecarlo import TrialConfig, run_simulation
-from .oracle import equivalence_report
 from .states import ScenarioParams, lambda_matrix, normalization
-from .sweeps import SweepSpec, format_sig, render_csv, render_json, sweep_rows
+from .sweeps import SweepSpec, format_sig, formatter, render_csv, render_json, sweep_rows
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -74,25 +72,16 @@ def _scenario(ns: argparse.Namespace) -> ScenarioParams:
     return ScenarioParams(k=ns.k, gamma=ns.gamma, theta=_theta(ns), p=ns.p)
 
 
-def _value_token(value: object) -> str:
-    """Deterministic token for one output value (9 significant digits for
-    floats, JSON-compatible for the rest)."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format_sig(value)
-    return '"' + str(value) + '"'
-
-
 def _print_record(fields: list[tuple[str, object]], as_json: bool) -> None:
+    """One record, as JSON or as `key = value` lines; counts print as
+    integers and every other value through the sweeps' token function."""
+    token = formatter(as_json)
+    tokens = [(key, str(value) if type(value) is int else token(value)) for key, value in fields]
     if as_json:
-        body = ", ".join(f'"{key}": {_value_token(value)}' for key, value in fields)
-        print("{" + body + "}")
+        print("{" + ", ".join(f'"{key}": {text}' for key, text in tokens) + "}")
     else:
-        for key, value in fields:
-            print(f"{key} = {_value_token(value)}")
+        for key, text in tokens:
+            print(f"{key} = {text}")
 
 
 def _emit(text: str, path: str | None) -> int:
@@ -172,6 +161,9 @@ def _cmd_spade(ns: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(ns: argparse.Namespace) -> int:
+    # numpy loads only for the commands that use it.
+    from .montecarlo import TrialConfig, run_simulation
+
     try:
         config = TrialConfig(
             params=_scenario(ns), n_photons=ns.photons, seed=ns.seed, epsilon=ns.epsilon
@@ -198,6 +190,8 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
+    from .oracle import equivalence_report
+
     try:
         report = equivalence_report(n_points=ns.grid_points)
     except (GridAccuracyError, DomainError) as exc:

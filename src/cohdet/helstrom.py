@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .states import Observable2, ScenarioParams, _require_admissible, lambda_matrix
+from .states import Observable2, ScenarioParams, _pair_terms, _require_admissible, lambda_matrix
 
 #: Relative tolerance for classifying an advantage ratio as exactly 1.
 USELESS_RATIO_TOL = 1e-10
@@ -42,30 +42,53 @@ def direct_error(p: float) -> float:
     return min(p, 1.0 - p)
 
 
-def helstrom_bound(params: ScenarioParams) -> float:
-    """Minimum error probability over all detection strategies.
+def _prior_terms(
+    pair: tuple[float, float, float, float, float], p: float
+) -> tuple[float, float, float, float, float, bool]:
+    """Second half of the evaluation kernel: from `_pair_terms`'s output and
+    a prior p, (o_err, d_err, a_qod, p_err_spade, a_d, useless).
 
-    Clamped into [0, 1/2] so that floating-point noise can never make the
-    optimum look worse than guessing.
+    o_err is clamped into [0, 1/2] so that floating-point noise can never
+    make the optimum look worse than guessing.  At a deterministic prior
+    both errors vanish analytically, even when rounding leaves a ~1e-16
+    residue in o_err, so a_qod is 1 there; a_d is 1 at p = 0.
     """
-    tn = trace_norm(lambda_matrix(params))
-    return min(0.5, max(0.0, 0.5 * (1.0 - tn)))
-
-
-def _advantage(d_err: float, o_err: float) -> float:
+    _, r11, r12, r22, q = pair
+    a11 = p * r11 - (1.0 - p)
+    a22 = p * r22
+    half_trace = 0.5 * (a11 + a22)
+    radius = math.hypot(0.5 * (a11 - a22), p * r12)
+    norm = abs(half_trace - radius) + abs(half_trace + radius)
+    o_err = min(0.5, max(0.0, 0.5 * (1.0 - norm)))
+    d_err = min(p, 1.0 - p)
     if d_err == 0.0:
-        # Deterministic prior: both error probabilities vanish analytically,
-        # even when rounding leaves a ~1e-16 residue in the bound, and
-        # guessing is trivially optimal.
-        return 1.0
-    if o_err == 0.0:
-        return math.inf
-    return d_err / o_err
+        a_qod = 1.0
+    elif o_err == 0.0:
+        a_qod = math.inf
+    else:
+        a_qod = d_err / o_err
+    p_err = p * q
+    if p_err == 0.0:
+        a_d = 1.0 if d_err == 0.0 else math.inf
+    else:
+        a_d = d_err / p_err
+    useless = math.isfinite(a_qod) and abs(a_qod - 1.0) <= USELESS_RATIO_TOL
+    return o_err, d_err, a_qod, p_err, a_d, useless
+
+
+def _evaluate(params: ScenarioParams) -> tuple[float, float, float, float, float, bool]:
+    """(o_err, d_err, a_qod, p_err_spade, a_d, useless) for one scenario."""
+    return _prior_terms(_pair_terms(params.delta, params.c), params.p)
+
+
+def helstrom_bound(params: ScenarioParams) -> float:
+    """Minimum error probability over all detection strategies, in [0, 1/2]."""
+    return _evaluate(params)[0]
 
 
 def qod_advantage(params: ScenarioParams) -> float:
     """Ratio of the blind-guess error to the optimal-measurement error, >= 1."""
-    return _advantage(direct_error(params.p), helstrom_bound(params))
+    return _evaluate(params)[2]
 
 
 def useless_boundary(delta: float, c: float) -> float:
@@ -111,8 +134,5 @@ class BoundReport:
 
 def bound_report(params: ScenarioParams) -> BoundReport:
     """Evaluate the optimal bound, the blind-guess error and their ratio."""
-    o_err = helstrom_bound(params)
-    d_err = direct_error(params.p)
-    a_qod = _advantage(d_err, o_err)
-    useless = math.isfinite(a_qod) and abs(a_qod - 1.0) <= USELESS_RATIO_TOL
+    o_err, d_err, a_qod, _, _, useless = _evaluate(params)
     return BoundReport(o_err, d_err, a_qod, useless)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DegenerateScenarioError, DomainError
 
@@ -89,13 +90,14 @@ class ScenarioParams:
         if not math.isfinite(self.theta):
             raise DomainError(f"coherence phase theta must be finite, got {self.theta!r}")
         object.__setattr__(self, "theta", self.theta % _TWO_PI)
-        _require_admissible(overlap(self.k), effective_coherence(self.gamma, self.theta))
+        _require_admissible(self.delta, self.c)
 
-    @property
+    # Computed and validated once, at construction.
+    @cached_property
     def delta(self) -> float:
         return overlap(self.k)
 
-    @property
+    @cached_property
     def c(self) -> float:
         return effective_coherence(self.gamma, self.theta)
 
@@ -143,6 +145,20 @@ def normalization(delta: float, c: float) -> float:
     return 0.5 / (1.0 + delta * c)
 
 
+def _pair_terms(delta: float, c: float) -> tuple[float, float, float, float, float]:
+    """First half of the evaluation kernel, for an admissible (delta, c)
+    that it does not validate again: N, rho_2's entries r11, r12, r22 and
+    the mode sorter's Gaussian-mode click probability q.  q's numerator
+    equals (delta + c)**2 + 1 - c**2, so only rounding needs its clamp."""
+    one_plus_dc = 1.0 + delta * c
+    n = 0.5 / one_plus_dc
+    one_minus_d2 = 1.0 - delta * delta
+    diagonal = 1.0 + delta * delta + 2.0 * delta * c
+    off = (delta + c) * math.sqrt(max(one_minus_d2, 0.0))
+    q = min(1.0, max(0.0, diagonal / (2.0 * one_plus_dc)))
+    return n, n * diagonal, n * off, n * one_minus_d2, q
+
+
 def rho1() -> DensityMatrix2:
     """Single-source state: a pure projector onto the first basis vector."""
     return DensityMatrix2(1.0, 0.0, 0.0)
@@ -158,14 +174,9 @@ def rho2(delta: float, c: float) -> DensityMatrix2:
 
     At delta = 1 the sources coincide and rho_2 collapses onto rho_1 exactly.
     """
-    n = normalization(delta, c)
-    one_minus_d2 = 1.0 - delta * delta
-    off = (delta + c) * math.sqrt(max(one_minus_d2, 0.0))
-    return DensityMatrix2(
-        n * (1.0 + delta * delta + 2.0 * delta * c),
-        n * off,
-        n * one_minus_d2,
-    )
+    _require_admissible(delta, c)
+    _, r11, r12, r22, _ = _pair_terms(delta, c)
+    return DensityMatrix2(r11, r12, r22)
 
 
 def lambda_matrix(params: ScenarioParams) -> Observable2:
@@ -174,6 +185,6 @@ def lambda_matrix(params: ScenarioParams) -> Observable2:
     This is the operator whose trace norm fixes the minimum achievable
     error probability; its trace is 2p - 1.
     """
-    r2 = rho2(params.delta, params.c)
+    _, r11, r12, r22, _ = _pair_terms(params.delta, params.c)
     p = params.p
-    return Observable2(p * r2.a11 - (1.0 - p), p * r2.a12, p * r2.a22)
+    return Observable2(p * r11 - (1.0 - p), p * r12, p * r22)

@@ -9,15 +9,20 @@ suitable for golden-file regression tests.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegenerateScenarioError, DomainError
-from .helstrom import bound_report
-from .spade import spade_advantage, spade_error
-from .states import ScenarioParams
+from .helstrom import _prior_terms
+from .states import _TWO_PI, _pair_terms, _require_admissible, effective_coherence, overlap
 
 CSV_HEADER = "k,p,gamma,theta,delta,o_err,d_err,a_qod,p_err_spade,a_d,useless"
 COLUMNS: tuple[str, ...] = tuple(CSV_HEADER.split(","))
+
+#: The numeric columns lead both COLUMNS and SweepRow's fields.
+_NUMERIC = len(COLUMNS) - 1
+_JSON_KEYS = tuple(f'"{name}": ' for name in COLUMNS)
 
 #: Sentinel placed in the `useless` column of rows that hit the singular
 #: parameter point; their numeric result columns stay empty.
@@ -43,6 +48,35 @@ def format_sig(x: float) -> str:
         # Rounding crossed into the next decade (e.g. 0.9999999996 -> 1.0).
         exponent = new_exponent
     return text
+
+
+#: Tokens a rendering's memo holds before it starts afresh: what a grid repeats
+#: (axes, d_err, a few k rows' results) in a small, fixed memory footprint.
+_MEMO_SIZE = 4096
+
+
+def formatter(as_json: bool = False) -> Callable[[object], str]:
+    """The token function of one rendering (sweep CSV or JSON, `bound`):
+    format_sig, run once per distinct number among the last few thousand,
+    as a grid repeats most of its values; None is an empty cell and a
+    non-finite number stays as it is, except in JSON, which has no token
+    for either and gets null."""
+    memo: dict[float, str] = {}
+    missing = "null" if as_json else ""
+
+    def token(value: object) -> str:
+        if value is None:
+            return missing
+        if value is True or value is False:
+            return "true" if value else "false"
+        text = memo.get(value)
+        if text is None:
+            if len(memo) >= _MEMO_SIZE:
+                memo.clear()
+            text = memo[value] = missing if as_json and not math.isfinite(value) else format_sig(value)
+        return text
+
+    return token
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
@@ -91,89 +125,68 @@ class SweepSpec:
         return _linspace(self.p_min, self.p_max, self.p_steps)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """Results at one grid point; numeric fields are None on the
+class SweepRow(NamedTuple):
+    """Results at one grid point; the result fields are None on the
     degenerate parameter set."""
 
     k: float
     p: float
     gamma: float
     theta: float
-    delta: float | None
-    o_err: float | None
-    d_err: float | None
-    a_qod: float | None
-    p_err_spade: float | None
-    a_d: float | None
-    useless: bool | None
+    delta: float | None = None
+    o_err: float | None = None
+    d_err: float | None = None
+    a_qod: float | None = None
+    p_err_spade: float | None = None
+    a_d: float | None = None
+    useless: bool | None = None
     degenerate: bool = False
 
 
-def sweep_row(k: float, p: float, gamma: float, theta: float) -> SweepRow:
-    """Evaluate every output quantity at a single grid point."""
-    try:
-        params = ScenarioParams(k=k, gamma=gamma, theta=theta, p=p)
-    except DegenerateScenarioError:
-        return SweepRow(k, p, gamma, theta, None, None, None, None, None, None, None, True)
-    report = bound_report(params)
-    return SweepRow(
-        k=k,
-        p=p,
-        gamma=gamma,
-        theta=theta,
-        delta=params.delta,
-        o_err=report.o_err,
-        d_err=report.d_err,
-        a_qod=report.a_qod,
-        p_err_spade=spade_error(params.delta, params.c, p),
-        a_d=spade_advantage(params),
-        useless=report.useless,
-        degenerate=False,
-    )
-
-
 def sweep_rows(spec: SweepSpec) -> list[SweepRow]:
-    """All grid points of `spec` in row-major order (k outer, p inner)."""
-    return [
-        sweep_row(k, p, spec.gamma, spec.theta)
-        for k in spec.k_values()
-        for p in spec.p_values()
-    ]
+    """All grid points of `spec` in row-major order (k outer, p inner).
+
+    The kernel's first half runs once per separation, its second half once
+    per cell.  The spec is valid, so only the singular point is checked."""
+    gamma, theta = spec.gamma, spec.theta
+    c = effective_coherence(gamma, theta % _TWO_PI)
+    ps = spec.p_values()
+    rows: list[SweepRow] = []
+    for k in spec.k_values():
+        delta = overlap(k)
+        try:
+            _require_admissible(delta, c)
+        except DegenerateScenarioError:
+            rows.extend(SweepRow(k, p, gamma, theta, degenerate=True) for p in ps)
+            continue
+        pair = _pair_terms(delta, c)
+        rows.extend(SweepRow(k, p, gamma, theta, delta, *_prior_terms(pair, p)) for p in ps)
+    return rows
 
 
-def _cell(row: SweepRow, column: str) -> str:
-    if column == "useless":
-        if row.degenerate:
-            return DEGENERATE_SENTINEL
-        return "true" if row.useless else "false"
-    value = getattr(row, column)
-    if value is None:
-        return ""
-    return format_sig(value)
+def _cells(row: SweepRow, token: Callable[[object], str], sentinel: str) -> list[str]:
+    cells = [token(value) for value in row[:_NUMERIC]]
+    cells.append(sentinel if row.degenerate else token(row.useless))
+    return cells
 
 
 def render_csv(rows: list[SweepRow]) -> str:
     """UTF-8/LF CSV text; no field ever needs quoting."""
+    token = formatter()
     lines = [CSV_HEADER]
-    lines.extend(",".join(_cell(row, name) for name in COLUMNS) for row in rows)
-    return "\n".join(lines) + "\n"
+    lines.extend(",".join(_cells(row, token, DEGENERATE_SENTINEL)) for row in rows)
+    lines.append("")  # the final LF, without copying the text once more
+    return "\n".join(lines)
 
 
 def render_json(rows: list[SweepRow]) -> str:
     """JSON array of row objects using the same fixed decimal tokens as the
-    CSV rendering (strings for the sentinel column, numbers elsewhere)."""
-    entries = []
-    for row in rows:
-        parts = []
-        for name in COLUMNS:
-            if name == "useless":
-                if row.degenerate:
-                    parts.append(f'"useless": "{DEGENERATE_SENTINEL}"')
-                else:
-                    parts.append(f'"useless": {"true" if row.useless else "false"}')
-                continue
-            value = getattr(row, name)
-            parts.append(f'"{name}": null' if value is None else f'"{name}": {format_sig(value)}')
-        entries.append("  {" + ", ".join(parts) + "}")
-    return "[\n" + ",\n".join(entries) + "\n]\n"
+    CSV rendering (strings for the sentinel column, numbers elsewhere, null
+    for an empty or non-finite value)."""
+    token = formatter(as_json=True)
+    sentinel = f'"{DEGENERATE_SENTINEL}"'
+    entries = [
+        "  {" + ", ".join(map(str.__add__, _JSON_KEYS, _cells(row, token, sentinel))) + "}"
+        for row in rows
+    ]
+    return "".join(("[\n", ",\n".join(entries), "\n]\n"))

@@ -1,6 +1,11 @@
-"""Shared test helpers: strategies for admissible scenario parameters."""
+"""Shared test helpers: strategies for admissible scenario parameters and a
+fresh interpreter that runs the package from src/."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -39,3 +44,16 @@ def linspace(lo, hi, n):
     values = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     values[-1] = hi
     return values
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_python(*args, timeout=120):
+    """A fresh interpreter with the package in src/ on its path."""
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    return subprocess.run(
+        [sys.executable, *args], env=env, cwd=ROOT, capture_output=True, text=True, timeout=timeout
+    )

@@ -3,7 +3,22 @@ import math
 
 import pytest
 
+from conftest import run_python
+
+import cohdet
 from cohdet.cli import main
+
+#: What the installed `cohdet` console script runs.
+ENTRY = "import sys; from cohdet.cli import main; sys.exit(main())"
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite JSON constant {token}")
+
+
+def strict_json(text):
+    """json.loads that also rejects NaN and Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def run_cli(capsys, *args):
@@ -44,6 +59,29 @@ class TestBound:
         assert code == 0
         record = json.loads(out)
         assert all(math.isfinite(v) for k, v in record.items() if isinstance(v, float))
+
+    def test_next_to_singular_point(self):
+        result = run_python("-c", ENTRY, "bound", "--k", "0.01", "--gamma", "1", "--theta-pi", "1")
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+        assert "o_err = " in result.stdout
+
+    def test_json_prints_non_finite_as_null(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bound", "--k", "1", "--gamma", "0.4", "--theta", "1", "--p", "1e-300",
+            "--format", "json",
+        )
+        assert code == 0
+        record = strict_json(out)
+        assert record["o_err"] == 0.0 and record["a_qod"] is None
+        assert record["useless"] is False
+
+    def test_text_keeps_inf(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bound", "--k", "1", "--gamma", "0.4", "--theta", "1", "--p", "1e-300"
+        )
+        assert code == 0
+        assert "a_qod = inf\n" in out
 
     def test_degenerate_scenario_exits_3(self, capsys):
         code, out, err = run_cli(capsys, "bound", "--k", "0", "--gamma", "1", "--theta-pi", "1")
@@ -121,6 +159,17 @@ class TestSweepCommands:
         first = lines[1].split(",")
         assert first[0] == "0.00000000"
         assert first[7] == "1.00000000" and first[9] == "1.00000000"  # a_qod = a_d = 1 at k = 0
+
+    def test_spade_next_to_singular_point(self):
+        result = run_python(
+            "-c", ENTRY, "spade", "--gamma", "1", "--theta-pi", "1", "--k-range", "0:5:501"
+        )
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+        rows = result.stdout.splitlines()[1:]
+        assert len(rows) == 501
+        assert rows[0].endswith(",degenerate")
+        assert not any(row.endswith("degenerate") for row in rows[1:])
 
     def test_json_format(self, capsys):
         code, out, err = run_cli(
@@ -202,3 +251,42 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--grid-points", "101")
         assert code == 5
         assert "FAIL" in out
+
+
+class TestStartup:
+    #: cohdet.__all__; sweep_row was deleted with the per-cell pipeline.
+    NAMES = {
+        "BoundReport", "CSV_HEADER", "CohdetError", "DegenerateScenarioError", "DensityMatrix2",
+        "DomainError", "EmpiricalResult", "GridAccuracyError", "GridState", "Observable2",
+        "ScenarioParams", "SpatialGrid", "SweepRow", "SweepSpec", "TrialConfig",
+        "VerificationReport", "bound_report", "direct_error", "effective_coherence",
+        "eigenvalues_sym2", "equivalence_report", "format_sig", "grid_helstrom", "grid_overlap",
+        "grid_rho2", "helstrom_bound", "in_useless_region", "lambda_matrix", "normalization",
+        "overlap", "psf_state", "qod_advantage", "render_csv", "render_json", "rho1", "rho2",
+        "run_simulation", "spade_advantage", "spade_error", "sweep_rows", "trace_norm",
+        "useless_boundary",
+    }
+
+    def test_bound_does_not_load_numpy(self):
+        code = (
+            "import sys, cohdet, cohdet.cli\n"
+            "code = cohdet.cli.main(['bound', '--k', '1.3', '--gamma', '0.4', '--format', 'json'])\n"
+            "print(code, 'numpy' in sys.modules)\n"
+        )
+        result = run_python("-c", code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "0 False"
+
+    def test_every_public_name_resolves(self):
+        assert set(cohdet.__all__) == self.NAMES
+        for name in cohdet.__all__:
+            assert getattr(cohdet, name) is not None
+        from cohdet import TrialConfig, grid_rho2
+        from cohdet.montecarlo import TrialConfig as direct_config
+        from cohdet.oracle import grid_rho2 as direct_grid_rho2
+
+        assert TrialConfig is direct_config and grid_rho2 is direct_grid_rho2
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError):
+            cohdet.sweep_row

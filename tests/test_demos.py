@@ -1,23 +1,14 @@
 """Every demo script runs to completion against the package in src/."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import ROOT, run_python
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[path.name for path in DEMOS])
 def test_demo_runs(script):
-    env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    result = subprocess.run(
-        [sys.executable, str(script)], env=env, cwd=ROOT, capture_output=True, text=True, timeout=120
-    )
+    result = run_python(str(script))
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()

@@ -2,18 +2,30 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from conftest import finite_floats
 
 from cohdet import (
     CSV_HEADER,
+    DegenerateScenarioError,
     DomainError,
     ScenarioParams,
+    SweepRow,
     SweepSpec,
+    bound_report,
     format_sig,
     qod_advantage,
     render_csv,
     render_json,
+    spade_advantage,
+    spade_error,
     sweep_rows,
 )
+from cohdet.sweeps import _MEMO_SIZE
+
+COLUMNS = CSV_HEADER.split(",")
 
 
 class TestFormatSig:
@@ -127,3 +139,105 @@ class TestRendering:
         assert payload[0]["k"] == 0.0
         assert payload[0]["useless"] is True  # coincident sources
         assert set(payload[0]) == set(CSV_HEADER.split(","))
+
+
+@st.composite
+def _axis(draw, lo, hi):
+    """MIN, MAX, STEPS of one sweep axis, at most 7 steps."""
+    a, b = sorted((draw(finite_floats(lo, hi)), draw(finite_floats(lo, hi))))
+    steps = draw(st.integers(1, 7))
+    return (a, a, steps) if steps == 1 else (a, b, steps)
+
+
+@st.composite
+def sweep_specs(draw):
+    """Grids of at most 7x7 over k in [0, 12], any coherence, any finite
+    phase; a third of them at the singular coherence gamma=1, theta=pi."""
+    k_axis = draw(_axis(0.0, 12.0))
+    if draw(st.integers(0, 2)) == 0:
+        k_min, k_max, k_steps = k_axis
+        k_axis = (0.0, 0.0 if k_steps == 1 else k_max, k_steps)
+        gamma, theta = 1.0, math.pi
+    else:
+        gamma = draw(finite_floats(0.0, 1.0))
+        theta = draw(st.floats(allow_nan=False, allow_infinity=False))
+    return SweepSpec(*k_axis, *draw(_axis(0.0, 1.0)), gamma=gamma, theta=theta)
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite JSON constant {token}")
+
+
+def _reference_csv(rows):
+    lines = [CSV_HEADER]
+    for row in rows:
+        cells = ["" if value is None else format_sig(value) for value in row[:10]]
+        cells.append("degenerate" if row.degenerate else str(row.useless).lower())
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_json(rows):
+    entries = []
+    for row in rows:
+        parts = [
+            f'"{name}": ' + ("null" if value is None or not math.isfinite(value) else format_sig(value))
+            for name, value in zip(COLUMNS, row[:10])
+        ]
+        parts.append('"useless": ' + ('"degenerate"' if row.degenerate else str(row.useless).lower()))
+        entries.append("  {" + ", ".join(parts) + "}")
+    return "[\n" + ",\n".join(entries) + "\n]\n"
+
+
+class TestFastPath:
+    """sweep_rows hoists the kernel out of the prior loop; every row must
+    equal the scalar path's results, and the memoised renderers must equal
+    a cell-by-cell format_sig rendering."""
+
+    @given(sweep_specs())
+    @example(SweepSpec(0.0, 1e-3, 3, 0.0, 1.0, 7, gamma=1.0, theta=math.pi))
+    @example(SweepSpec(0.0, 12.0, 7, 0.0, 1.0, 7, gamma=0.4, theta=-7.0))
+    def test_rows_equal_scalar_path(self, spec):
+        rows = sweep_rows(spec)
+        assert [(row.k, row.p) for row in rows] == [
+            (k, p) for k in spec.k_values() for p in spec.p_values()
+        ]
+        for row in rows:
+            try:
+                params = ScenarioParams(k=row.k, gamma=spec.gamma, theta=spec.theta, p=row.p)
+            except DegenerateScenarioError:
+                assert row == SweepRow(row.k, row.p, spec.gamma, spec.theta, *[None] * 7, True)
+                continue
+            report = bound_report(params)
+            assert row == SweepRow(
+                row.k, row.p, spec.gamma, spec.theta, params.delta,
+                report.o_err, report.d_err, report.a_qod,
+                spade_error(params.delta, params.c, row.p), spade_advantage(params),
+                report.useless, False,
+            )
+
+    @given(sweep_specs())
+    @example(SweepSpec(0.0, 1e-3, 3, 0.0, 1.0, 7, gamma=1.0, theta=math.pi))
+    @example(SweepSpec(10.0, 12.0, 3, 1e-300, 1e-300, 1, gamma=0.4, theta=1.0))
+    def test_rendering_equals_cell_by_cell_format_sig(self, spec):
+        rows = sweep_rows(spec)
+        assert render_csv(rows) == _reference_csv(rows)
+        text = render_json(rows)
+        assert text == _reference_json(rows)
+        assert len(json.loads(text, parse_constant=_reject_constant)) == len(rows)
+
+    def test_rendering_outgrows_the_memo(self):
+        # Many more distinct values than the memo holds: it starts afresh
+        # several times within each rendering, and no token changes.
+        rows = sweep_rows(SweepSpec(0.0, 5.0, 81, 0.0, 1.0, 81, gamma=0.9, theta=2.0))
+        distinct = {value for row in rows for value in row[:10] if value is not None}
+        assert len(distinct) > 3 * _MEMO_SIZE
+        assert render_csv(rows) == _reference_csv(rows)
+        assert render_json(rows) == _reference_json(rows)
+
+    def test_json_prints_non_finite_as_null(self):
+        # At a prior this small o_err underflows to 0, so a_qod is infinite.
+        rows = sweep_rows(SweepSpec(1.0, 1.0, 1, 1e-300, 1e-300, 1, gamma=0.4, theta=1.0))
+        assert rows[0].a_qod == math.inf
+        assert render_csv(rows).split("\n")[1].split(",")[7] == "inf"
+        assert json.loads(render_json(rows), parse_constant=_reject_constant)[0]["a_qod"] is None
