@@ -11,7 +11,6 @@ from cohdet import (
     ScenarioParams,
     bound_report,
     eigenvalues_sym2,
-    in_useless_region,
     lambda_matrix,
     normalization,
     rho1,
@@ -43,5 +42,6 @@ p_star = useless_boundary(params.delta, params.c)
 print(f"\nmeasurement is useless for priors above p* = {p_star:.6f}")
 for p in (0.5, p_star - 0.02, p_star + 0.02):
     probe = ScenarioParams(k=params.k, gamma=params.gamma, theta=params.theta, p=p)
-    flag = "useless" if in_useless_region(probe) else "helpful"
-    print(f"  p = {p:.4f}: measuring is {flag}, a_qod = {bound_report(probe).a_qod:.6f}")
+    probe_report = bound_report(probe)
+    flag = "useless" if probe_report.useless else "helpful"
+    print(f"  p = {p:.4f}: measuring is {flag}, a_qod = {probe_report.a_qod:.6f}")

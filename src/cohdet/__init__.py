@@ -15,14 +15,10 @@ import importlib
 
 from .errors import CohdetError, DegenerateScenarioError, DomainError, GridAccuracyError
 from .helstrom import (
-    BoundReport,
     bound_report,
-    direct_error,
     eigenvalues_sym2,
     helstrom_bound,
-    in_useless_region,
     qod_advantage,
-    trace_norm,
     useless_boundary,
 )
 from .spade import spade_advantage, spade_error
@@ -30,7 +26,6 @@ from .states import (
     DensityMatrix2,
     Observable2,
     ScenarioParams,
-    effective_coherence,
     lambda_matrix,
     normalization,
     overlap,
@@ -39,19 +34,16 @@ from .states import (
 )
 from .sweeps import (
     CSV_HEADER,
-    SweepRow,
     SweepSpec,
-    format_sig,
     render_csv,
     render_json,
     sweep_rows,
 )
 
 #: Names served by the numpy-backed modules, imported on first access.
-_LAZY = dict.fromkeys(("EmpiricalResult", "TrialConfig", "run_simulation"), "montecarlo")
+_LAZY = dict.fromkeys(("TrialConfig", "run_simulation"), "montecarlo")
 _LAZY.update(dict.fromkeys((
-    "GridState", "SpatialGrid", "VerificationReport", "equivalence_report", "grid_helstrom",
-    "grid_overlap", "grid_rho2", "psf_state"), "oracle"))
+    "SpatialGrid", "equivalence_report", "grid_helstrom", "grid_overlap", "grid_rho2"), "oracle"))
 
 
 def __getattr__(name: str):
@@ -65,13 +57,10 @@ def __getattr__(name: str):
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport", "CSV_HEADER", "CohdetError", "DegenerateScenarioError", "DensityMatrix2",
-    "DomainError", "EmpiricalResult", "GridAccuracyError", "GridState", "Observable2",
-    "ScenarioParams", "SpatialGrid", "SweepRow", "SweepSpec", "TrialConfig",
-    "VerificationReport", "bound_report", "direct_error", "effective_coherence",
-    "eigenvalues_sym2", "equivalence_report", "format_sig", "grid_helstrom", "grid_overlap",
-    "grid_rho2", "helstrom_bound", "in_useless_region", "lambda_matrix", "normalization",
-    "overlap", "psf_state", "qod_advantage", "render_csv", "render_json", "rho1", "rho2",
-    "run_simulation", "spade_advantage", "spade_error", "sweep_rows", "trace_norm",
-    "useless_boundary",
+    "CSV_HEADER", "CohdetError", "DegenerateScenarioError", "DensityMatrix2", "DomainError",
+    "GridAccuracyError", "Observable2", "ScenarioParams", "SpatialGrid", "SweepSpec",
+    "TrialConfig", "bound_report", "eigenvalues_sym2", "equivalence_report", "grid_helstrom",
+    "grid_overlap", "grid_rho2", "helstrom_bound", "lambda_matrix", "normalization", "overlap",
+    "qod_advantage", "render_csv", "render_json", "rho1", "rho2", "run_simulation",
+    "spade_advantage", "spade_error", "sweep_rows", "useless_boundary",
 ]

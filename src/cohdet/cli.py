@@ -18,8 +18,8 @@ import math
 import sys
 
 from .errors import DegenerateScenarioError, DomainError, GridAccuracyError
-from .helstrom import bound_report, eigenvalues_sym2, useless_boundary
-from .states import ScenarioParams, lambda_matrix, normalization
+from .helstrom import bound_report
+from .states import ScenarioParams
 from .sweeps import SweepSpec, format_sig, formatter, render_csv, render_json, sweep_rows
 
 EXIT_OK = 0
@@ -98,36 +98,10 @@ def _emit(text: str, path: str | None) -> int:
 
 
 def _cmd_bound(ns: argparse.Namespace) -> int:
-    try:
-        params = _scenario(ns)
-    except DegenerateScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    lam = lambda_matrix(params)
-    eig_low, eig_high = eigenvalues_sym2(lam)
+    params = _scenario(ns)
     report = bound_report(params)
-    fields: list[tuple[str, object]] = [
-        ("k", params.k),
-        ("gamma", params.gamma),
-        ("theta", params.theta),
-        ("p", params.p),
-        ("delta", params.delta),
-        ("normalization", normalization(params.delta, params.c)),
-        ("lambda_11", lam.a11),
-        ("lambda_12", lam.a12),
-        ("lambda_22", lam.a22),
-        ("eig_low", eig_low),
-        ("eig_high", eig_high),
-        ("o_err", report.o_err),
-        ("d_err", report.d_err),
-        ("a_qod", report.a_qod),
-        ("p_star", useless_boundary(params.delta, params.c)),
-        ("useless", report.useless),
-    ]
-    _print_record(fields, ns.format == "json")
+    scenario = ("k", params.k), ("gamma", params.gamma), ("theta", params.theta), ("p", params.p)
+    _print_record([*scenario, *zip(report._fields, report)], ns.format == "json")
     return EXIT_OK
 
 
@@ -142,12 +116,7 @@ def _sweep_spec(ns: argparse.Namespace, p_range: tuple[float, float, int]) -> Sw
 
 
 def _run_sweep(ns: argparse.Namespace, p_range: tuple[float, float, int]) -> int:
-    try:
-        spec = _sweep_spec(ns, p_range)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    rows = sweep_rows(spec)
+    rows = sweep_rows(_sweep_spec(ns, p_range))
     text = render_csv(rows) if ns.format == "csv" else render_json(rows)
     return _emit(text, ns.output)
 
@@ -164,16 +133,8 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
     # numpy loads only for the commands that use it.
     from .montecarlo import TrialConfig, run_simulation
 
-    try:
-        config = TrialConfig(
-            params=_scenario(ns), n_photons=ns.photons, seed=ns.seed, epsilon=ns.epsilon
-        )
-    except DegenerateScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    config = TrialConfig(
+        params=_scenario(ns), n_photons=ns.photons, seed=ns.seed, epsilon=ns.epsilon)
     result = run_simulation(config)
     fields: list[tuple[str, object]] = [
         ("n_trials", result.n_trials),
@@ -253,7 +214,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
-    return ns.func(ns)
+    # The one place where a rejected value becomes an error line and an exit
+    # code; `verify` reports its own failures as exit 5.
+    try:
+        return ns.func(ns)
+    except DegenerateScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -12,10 +12,9 @@ the closed-form prior boundary of that region is `useless_boundary`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import DomainError
-from .states import Observable2, ScenarioParams, _pair_terms, _require_admissible, lambda_matrix
+from .states import Observable2, ScenarioParams, _pair_terms, _require_admissible
 
 #: Relative tolerance for classifying an advantage ratio as exactly 1.
 USELESS_RATIO_TOL = 1e-10
@@ -26,20 +25,6 @@ def eigenvalues_sym2(m: Observable2) -> tuple[float, float]:
     half_trace = 0.5 * (m.a11 + m.a22)
     radius = math.hypot(0.5 * (m.a11 - m.a22), m.a12)
     return half_trace - radius, half_trace + radius
-
-
-def trace_norm(m: Observable2) -> float:
-    """Sum of the absolute eigenvalues."""
-    low, high = eigenvalues_sym2(m)
-    return abs(low) + abs(high)
-
-
-def direct_error(p: float) -> float:
-    """Error probability of declaring the more probable hypothesis without
-    measuring anything."""
-    if not math.isfinite(p) or not 0.0 <= p <= 1.0:
-        raise DomainError(f"prior p must lie in [0, 1], got {p!r}")
-    return min(p, 1.0 - p)
 
 
 def _prior_terms(
@@ -99,40 +84,49 @@ def useless_boundary(delta: float, c: float) -> float:
     eigenvalues are nonnegative.  The value always lies in (1/2, 1].
     """
     _require_admissible(delta, c)
+    return _p_star(delta, c)
+
+
+def _p_star(delta: float, c: float) -> float:
+    """`useless_boundary` for an admissible (delta, c), not validated again."""
     return (2.0 + 2.0 * delta * c) / (3.0 + 2.0 * delta * c - c * c)
 
 
-def in_useless_region(params: ScenarioParams) -> bool:
-    """True iff the prior lies strictly above `useless_boundary`."""
-    p_star = useless_boundary(params.delta, params.c)
-    flag = params.p > p_star
-    if __debug__:
-        # The closed form must agree with the eigenvalue signs except on the
-        # boundary itself or when an eigenvalue sits at zero (coincident
-        # sources give a zero eigenvalue at every prior).
-        low, high = eigenvalues_sym2(lambda_matrix(params))
-        if abs(params.p - p_star) > 1e-10 and min(abs(low), abs(high)) > 1e-12:
-            assert flag == (low > 0.0 and high > 0.0)
-    return flag
+class BoundReport(NamedTuple):
+    """Everything `cohdet bound` prints after the scenario, in its order:
+    the overlap delta, the normalization N, the entries and ascending
+    eigenvalues of p*rho_2 - (1-p)*rho_1, o_err, d_err, a_qod (1 when both
+    errors vanish), the closed-form `useless_boundary` p_star, and useless,
+    True when a_qod equals 1 within USELESS_RATIO_TOL: the package's one
+    definition of "measuring is useless"."""
 
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Error probabilities and advantage for one scenario.
-
-    o_err   minimum error probability over all measurements, in [0, 1/2]
-    d_err   blind-guess error probability min(p, 1-p)
-    a_qod   d_err / o_err (1 by convention when both vanish)
-    useless True when a_qod equals 1 within USELESS_RATIO_TOL
-    """
-
+    delta: float
+    normalization: float
+    lambda_11: float
+    lambda_12: float
+    lambda_22: float
+    eig_low: float
+    eig_high: float
     o_err: float
     d_err: float
     a_qod: float
+    p_star: float
     useless: bool
 
 
 def bound_report(params: ScenarioParams) -> BoundReport:
-    """Evaluate the optimal bound, the blind-guess error and their ratio."""
-    o_err, d_err, a_qod, _, _, useless = _evaluate(params)
-    return BoundReport(o_err, d_err, a_qod, useless)
+    """The whole report of one scenario from one kernel call.  The weighted
+    difference and its eigenvalues use the expressions of `lambda_matrix`
+    and `eigenvalues_sym2` inline: the same tokens, without the few percent
+    that the calls and an Observable2's validation would cost."""
+    delta, c, p = params.delta, params.c, params.p
+    pair = _pair_terms(delta, c)
+    n, r11, r12, r22, _ = pair
+    a11, a12, a22 = p * r11 - (1.0 - p), p * r12, p * r22
+    half_trace = 0.5 * (a11 + a22)
+    radius = math.hypot(0.5 * (a11 - a22), a12)
+    o_err, d_err, a_qod, _, _, useless = _prior_terms(pair, p)
+    return BoundReport(
+        delta, n, a11, a12, a22, half_trace - radius, half_trace + radius,
+        o_err, d_err, a_qod, _p_star(delta, c), useless,
+    )

@@ -81,9 +81,22 @@ def run_simulation(config: TrialConfig) -> EmpiricalResult:
     Identical configs give bit-identical results.  Trials are drawn in
     SHARD_SIZE blocks, one substream per block; the vacuum attempt count
     uses its own substream, so enabling epsilon leaves every registered
-    trial outcome unchanged.
+    trial outcome unchanged.  An epsilon too small for numpy to draw that
+    count for n_photons raises DomainError before any trial runs.
     """
     params = config.params
+    n_attempts = None
+    if config.epsilon is not None:
+        try:
+            failures = _stream(config.seed, 1).negative_binomial(config.n_photons, config.epsilon)
+        except ValueError as exc:
+            raise DomainError(
+                f"epsilon {config.epsilon!r} is too small for n_photons = {config.n_photons}:"
+                " numpy draws the vacuum count only while (1/epsilon - 1) * (n_photons"
+                " + 10*sqrt(n_photons)) < 9.2e18"
+            ) from exc
+        n_attempts = config.n_photons + int(failures)
+
     q2 = spade_error(params.delta, params.c, 1.0)
 
     n_errors = 0
@@ -107,12 +120,6 @@ def run_simulation(config: TrialConfig) -> EmpiricalResult:
         z_score = (error_rate - rate) / std_err
     else:
         z_score = 0.0 if error_rate == rate else math.copysign(math.inf, error_rate - rate)
-
-    n_attempts = None
-    if config.epsilon is not None:
-        vacuum_rng = _stream(config.seed, 1)
-        failures = int(vacuum_rng.negative_binomial(config.n_photons, config.epsilon))
-        n_attempts = config.n_photons + failures
 
     return EmpiricalResult(
         n_trials=config.n_photons,

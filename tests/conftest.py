@@ -10,7 +10,8 @@ from pathlib import Path
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from cohdet import ScenarioParams, effective_coherence, overlap
+from cohdet import ScenarioParams, overlap
+from cohdet.states import effective_coherence
 
 
 def finite_floats(lo, hi):

@@ -20,8 +20,6 @@ from cohdet import (
     ScenarioParams,
     SweepSpec,
     TrialConfig,
-    direct_error,
-    effective_coherence,
     equivalence_report,
     helstrom_bound,
     overlap,
@@ -33,6 +31,7 @@ from cohdet import (
     useless_boundary,
 )
 from cohdet.cli import main
+from cohdet.states import effective_coherence
 
 THETAS = (0.0, math.pi / 3, 2 * math.pi / 3, math.pi)
 GOLDEN_PATH = Path(__file__).parent / "data" / "fig2a_advantage_map.sha256"
@@ -88,7 +87,7 @@ def test_criterion_3_useless_region_boundary():
                 c = effective_coherence(gamma, theta)
                 p_star = useless_boundary(overlap(k), c)
                 above = ScenarioParams(k=k, gamma=gamma, theta=theta, p=p_star + 1e-6)
-                gap = abs(helstrom_bound(above) - direct_error(p_star + 1e-6))
+                gap = abs(helstrom_bound(above) - min(above.p, 1.0 - above.p))
                 worst_eq = max(worst_eq, gap)
                 if k > 0.0:
                     p_below = max(p_star - 0.05, 0.5)
@@ -113,7 +112,7 @@ def test_criterion_4_global_optimality_ordering():
                     except DegenerateScenarioError:
                         skipped += 1
                         continue
-                    assert helstrom_bound(params) <= direct_error(p) + 1e-12
+                    assert helstrom_bound(params) <= min(p, 1.0 - p) + 1e-12
                 try:
                     even = ScenarioParams(k=k, gamma=gamma, theta=theta, p=0.5)
                 except DegenerateScenarioError:

@@ -1,12 +1,18 @@
+import contextlib
+import importlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import run_python
 
 import cohdet
 from cohdet.cli import main
+from cohdet.helstrom import BoundReport
 
 #: What the installed `cohdet` console script runs.
 ENTRY = "import sys; from cohdet.cli import main; sys.exit(main())"
@@ -101,6 +107,14 @@ class TestBound:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_json_keys_are_the_report_fields(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bound", "--k", "1.3", "--gamma", "0.4", "--theta", "2", "--p", "0.6",
+            "--format", "json",
+        )
+        assert code == 0
+        assert tuple(strict_json(out)) == ("k", "gamma", "theta", "p") + BoundReport._fields
 
     def test_theta_pi_matches_radians(self, capsys):
         code_a, out_a, _ = run_cli(capsys, "bound", "--k", "1", "--gamma", "0.9", "--theta-pi", "0.5")
@@ -234,6 +248,29 @@ class TestSimulate:
             main(["simulate", "--k", "1", "--photons", photons])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "photons, epsilon", [("1000", "1e-16"), ("1", "1e-300"), ("1e7", "1e-12")]
+    )
+    def test_epsilon_too_small_for_photons_exits_2(self, photons, epsilon):
+        result = run_python(
+            "-c", ENTRY, "simulate", "--k", "1", "--photons", photons, "--epsilon", epsilon
+        )
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: epsilon ") and result.stderr.count("\n") == 1
+        assert result.stdout == ""
+
+    def test_smallest_drawable_epsilon_keeps_its_output(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--k", "1", "--photons", "1000", "--epsilon", "1e-15"
+        )
+        assert code == 0
+        assert out == (
+            '{"n_trials": 1000, "n_errors": 430, "error_rate": 0.430000000, '
+            '"std_err": 0.0157143861, "analytic_p_err": 0.444700196, '
+            '"z_score": -0.935461025, "n_attempts": 972119723739581416}\n'
+        )
+
     def test_zero_photons_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "--k", "1", "--photons", "0")
         assert code == 2
@@ -254,18 +291,27 @@ class TestVerify:
 
 
 class TestStartup:
-    #: cohdet.__all__; sweep_row was deleted with the per-cell pipeline.
+    #: cohdet.__all__.
     NAMES = {
-        "BoundReport", "CSV_HEADER", "CohdetError", "DegenerateScenarioError", "DensityMatrix2",
-        "DomainError", "EmpiricalResult", "GridAccuracyError", "GridState", "Observable2",
-        "ScenarioParams", "SpatialGrid", "SweepRow", "SweepSpec", "TrialConfig",
-        "VerificationReport", "bound_report", "direct_error", "effective_coherence",
-        "eigenvalues_sym2", "equivalence_report", "format_sig", "grid_helstrom", "grid_overlap",
-        "grid_rho2", "helstrom_bound", "in_useless_region", "lambda_matrix", "normalization",
-        "overlap", "psf_state", "qod_advantage", "render_csv", "render_json", "rho1", "rho2",
-        "run_simulation", "spade_advantage", "spade_error", "sweep_rows", "trace_norm",
-        "useless_boundary",
+        "CSV_HEADER", "CohdetError", "DegenerateScenarioError", "DensityMatrix2", "DomainError",
+        "GridAccuracyError", "Observable2", "ScenarioParams", "SpatialGrid", "SweepSpec",
+        "TrialConfig", "bound_report", "eigenvalues_sym2", "equivalence_report", "grid_helstrom",
+        "grid_overlap", "grid_rho2", "helstrom_bound", "lambda_matrix", "normalization", "overlap",
+        "qod_advantage", "render_csv", "render_json", "rho1", "rho2", "run_simulation",
+        "spade_advantage", "spade_error", "sweep_rows", "useless_boundary",
     }
+
+    #: Names dropped from the package namespace, by the module that keeps them.
+    MODULE_ONLY = {
+        "helstrom": ("BoundReport",),
+        "montecarlo": ("EmpiricalResult",),
+        "oracle": ("GridState", "VerificationReport", "psf_state"),
+        "states": ("effective_coherence",),
+        "sweeps": ("SweepRow", "format_sig"),
+    }
+
+    #: Names deleted outright; in_useless_region was a second definition of "useless".
+    DELETED = ("direct_error", "in_useless_region", "sweep_row", "trace_norm")
 
     def test_bound_does_not_load_numpy(self):
         code = (
@@ -279,6 +325,7 @@ class TestStartup:
 
     def test_every_public_name_resolves(self):
         assert set(cohdet.__all__) == self.NAMES
+        assert len(cohdet.__all__) == 31
         for name in cohdet.__all__:
             assert getattr(cohdet, name) is not None
         from cohdet import TrialConfig, grid_rho2
@@ -290,3 +337,101 @@ class TestStartup:
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError):
             cohdet.sweep_row
+
+    def test_removed_names_live_only_in_their_modules(self):
+        for module, names in self.MODULE_ONLY.items():
+            for name in names:
+                with pytest.raises(AttributeError):
+                    getattr(cohdet, name)
+                assert getattr(importlib.import_module(f"cohdet.{module}"), name) is not None
+        for name in self.DELETED:
+            with pytest.raises(AttributeError):
+                getattr(cohdet, name)
+            for module in ("helstrom", "states", "sweeps"):
+                assert not hasattr(importlib.import_module(f"cohdet.{module}"), name)
+
+
+#: Flag values a user can type that sit on or beyond an edge of the domain.
+EDGE_NUMBERS = ("nan", "inf", "-inf", "1e-300", "1e300", "-0", "0", "1", "-1", "0.5", "2", "x")
+
+
+def _number(lo, hi):
+    """Mostly values in [lo, hi], then tiny positive ones, then edge spellings."""
+    inside = st.floats(min_value=lo, max_value=hi, allow_nan=False).map(repr)
+    tiny = st.integers(1, 300).map(lambda e: f"1e-{e}")
+    return st.one_of(inside, inside, tiny, st.sampled_from(EDGE_NUMBERS))
+
+
+def _range(lo, hi):
+    """MIN:MAX:STEPS with at most 7 steps, bad counts included."""
+    steps = st.one_of(st.integers(-1, 7).map(str), st.sampled_from(("1.5", "", "nan")))
+    return st.tuples(_number(lo, hi), _number(lo, hi), steps).map(":".join)
+
+
+def _flag(name, values):
+    return st.one_of(st.just([]), values.map(lambda value: [name, value]))
+
+
+_PHASE = st.one_of(
+    st.just([]),
+    _number(-20.0, 20.0).map(lambda v: ["--theta", v]),
+    _number(-3.0, 3.0).map(lambda v: ["--theta-pi", v]),
+)
+_COHERENCE = st.tuples(_flag("--gamma", _number(0.0, 1.0)), _PHASE).map(lambda t: t[0] + t[1])
+_K = _number(0.0, 12.0).map(lambda v: ["--k", v])
+_P = _flag("--p", _number(0.0, 1.0))
+
+
+def _argv(command, *parts):
+    return st.tuples(*parts).map(lambda ps: [command] + [arg for part in ps for arg in part])
+
+
+CLI_ARGV = st.one_of(
+    _argv("bound", _K, _COHERENCE, _P, _flag("--format", st.sampled_from(("text", "json")))),
+    _argv(
+        "advantage-map", _COHERENCE, st.tuples(st.just("--k-range"), _range(0.0, 12.0)),
+        st.tuples(st.just("--p-range"), _range(0.0, 1.0)),
+        _flag("--format", st.sampled_from(("csv", "json"))),
+    ),
+    _argv(
+        "spade", _COHERENCE, st.tuples(st.just("--k-range"), _range(0.0, 12.0)), _P,
+        _flag("--format", st.sampled_from(("csv", "json"))),
+    ),
+    _argv(
+        "simulate", _K, _COHERENCE, _P,
+        st.tuples(st.just("--photons"), st.one_of(
+            st.integers(-2, 10**4).map(str), st.sampled_from(("1e4", "1.5", "nan", "-0")))),
+        _flag("--seed", st.one_of(st.integers(-2, 2**40).map(str), st.just("1.5"))),
+        _flag("--epsilon", _number(0.0, 0.1)),
+    ),
+    _argv("verify", st.tuples(st.just("--grid-points"), st.integers(-5, 1000).map(str))),
+)
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejecting a flag
+            assert exc.code == 2, argv
+            code = None
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(CLI_ARGV)
+    @example(["verify"])
+    @example(["simulate", "--k", "1", "--photons", "1000", "--epsilon", "1e-16"])
+    @example(["bound", "--k", "1e300", "--gamma", "1", "--theta-pi", "1", "--p", "1e-300",
+              "--format", "json"])
+    def test_every_argv_exits_cleanly(self, argv):
+        code, out, err = _run_in_process(argv)
+        if code is None:
+            return
+        assert code in (0, 2, 3, 4, 5), (argv, code)
+        if code in (2, 3):
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        if out and (argv[0] == "simulate" or "json" in argv):
+            strict_json(out)

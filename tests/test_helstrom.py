@@ -11,15 +11,13 @@ from cohdet import (
     Observable2,
     ScenarioParams,
     bound_report,
-    direct_error,
     eigenvalues_sym2,
     helstrom_bound,
-    in_useless_region,
     lambda_matrix,
+    normalization,
     overlap,
     qod_advantage,
     rho1,
-    trace_norm,
     useless_boundary,
 )
 
@@ -32,6 +30,12 @@ A_QOD_K2 = 1.6598338191395892
 P_STAR_K1_G09 = 0.9497154213698529
 
 THETAS = (0.0, math.pi / 3, 2 * math.pi / 3, math.pi)
+
+
+def trace_norm(m):
+    """Sum of the absolute eigenvalues."""
+    low, high = eigenvalues_sym2(m)
+    return abs(low) + abs(high)
 
 
 class TestEigenvalues:
@@ -77,8 +81,8 @@ class TestTraceNorm:
         assert trace_norm(lam_p1) == pytest.approx(1.0, abs=1e-12)
 
     def test_derived_value(self):
-        lam = lambda_matrix(ScenarioParams(k=2.0, gamma=0.0, theta=0.0, p=0.5))
-        assert trace_norm(lam) == pytest.approx(TRACE_NORM_K2, abs=1e-5)
+        report = bound_report(ScenarioParams(k=2.0, gamma=0.0, theta=0.0, p=0.5))
+        assert 1.0 - 2.0 * report.o_err == pytest.approx(TRACE_NORM_K2, abs=1e-5)
 
     @given(finite_floats(-10.0, 10.0), finite_floats(-10.0, 10.0), finite_floats(-10.0, 10.0))
     def test_bounds_trace(self, a11, a12, a22):
@@ -107,7 +111,7 @@ class TestHelstromBound:
 
     @given(scenario_params())
     def test_never_beats_nothing_to_lose(self, params):
-        assert helstrom_bound(params) <= direct_error(params.p) + 1e-12
+        assert helstrom_bound(params) <= min(params.p, 1.0 - params.p) + 1e-12
 
     @given(scenario_params())
     def test_range(self, params):
@@ -115,15 +119,21 @@ class TestHelstromBound:
 
 
 class TestDirectError:
+    """The blind-guess error min(p, 1-p), reported as d_err."""
+
+    @staticmethod
+    def d_err(p):
+        return bound_report(ScenarioParams(k=1.0, gamma=0.0, theta=0.0, p=p)).d_err
+
     def test_values(self):
-        assert direct_error(0.5) == 0.5
-        assert direct_error(0.9) == pytest.approx(0.1, abs=1e-15)
-        assert direct_error(0.0) == 0.0
+        assert self.d_err(0.5) == 0.5
+        assert self.d_err(0.9) == pytest.approx(0.1, abs=1e-15)
+        assert self.d_err(0.0) == 0.0
 
     @pytest.mark.parametrize("bad", [-0.1, 1.1, math.nan])
     def test_rejects_bad_prior(self, bad):
         with pytest.raises(DomainError):
-            direct_error(bad)
+            ScenarioParams(k=1.0, gamma=0.0, theta=0.0, p=bad)
 
 
 class TestAdvantage:
@@ -165,10 +175,10 @@ class TestUselessRegion:
         assert min(eigenvalues_sym2(below)) < 0.0
 
     def test_membership_examples(self):
-        assert in_useless_region(ScenarioParams(k=1.0, gamma=0.0, theta=0.0, p=0.8))
-        assert not in_useless_region(ScenarioParams(k=1.0, gamma=0.0, theta=0.0, p=0.5))
+        assert bound_report(ScenarioParams(k=1.0, gamma=0.0, theta=0.0, p=0.8)).useless
+        assert not bound_report(ScenarioParams(k=1.0, gamma=0.0, theta=0.0, p=0.5)).useless
         high = ScenarioParams(k=1.0, gamma=0.9, theta=0.0, p=0.96)
-        assert in_useless_region(high)
+        assert bound_report(high).useless
         # inside the region the bound equals the blind guess exactly
         lam = lambda_matrix(high)
         assert trace_norm(lam) == pytest.approx(2.0 * 0.96 - 1.0, abs=1e-12)
@@ -184,7 +194,7 @@ class TestUselessRegion:
                     low, high = eigenvalues_sym2(lambda_matrix(just_above))
                     assert low >= -1e-9 and high >= -1e-9
                     assert abs(
-                        helstrom_bound(just_above) - direct_error(p_star + 1e-6)
+                        helstrom_bound(just_above) - min(just_above.p, 1.0 - just_above.p)
                     ) <= 1e-9
                     if k > 0.0:
                         below = ScenarioParams(
@@ -201,7 +211,7 @@ class TestUselessRegion:
         rng = np.random.default_rng(7)
         for p in rng.random(50):
             params = ScenarioParams(k=0.0, gamma=0.2, theta=0.3, p=float(p))
-            assert helstrom_bound(params) == pytest.approx(direct_error(float(p)), abs=1e-15)
+            assert helstrom_bound(params) == pytest.approx(min(params.p, 1.0 - params.p), abs=1e-15)
 
 
 class TestBoundReport:
@@ -213,6 +223,18 @@ class TestBoundReport:
             assert report.a_qod == report.d_err / report.o_err
         if report.useless:
             assert abs(report.a_qod - 1.0) <= 1e-10
+
+    @given(scenario_params())
+    def test_fields_equal_the_step_by_step_api(self, params):
+        report = bound_report(params)
+        lam = lambda_matrix(params)
+        assert report.delta == params.delta
+        assert report.normalization == normalization(params.delta, params.c)
+        assert (report.lambda_11, report.lambda_12, report.lambda_22) == (lam.a11, lam.a12, lam.a22)
+        assert (report.eig_low, report.eig_high) == eigenvalues_sym2(lam)
+        assert report.o_err == helstrom_bound(params)
+        assert report.a_qod == qod_advantage(params)
+        assert report.p_star == useless_boundary(params.delta, params.c)
 
     def test_useless_flag_matches_region(self):
         inside = bound_report(ScenarioParams(k=1.0, gamma=0.0, theta=0.0, p=0.8))

@@ -15,9 +15,9 @@ from cohdet import (
     grid_rho2,
     helstrom_bound,
     overlap,
-    psf_state,
     rho2,
 )
+from cohdet.oracle import psf_state
 
 RHO2_K2_C0 = (0.6839397205857212, 0.24111416276052183, 0.31606027941427883)
 

@@ -12,13 +12,13 @@ from cohdet import (
     DomainError,
     Observable2,
     ScenarioParams,
-    effective_coherence,
     lambda_matrix,
     normalization,
     overlap,
     rho1,
     rho2,
 )
+from cohdet.states import effective_coherence
 
 # Frozen reference values, confirmed against the spatial-grid oracle before
 # being written down here (see test_oracle.py for the independent path).

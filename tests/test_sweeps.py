@@ -12,10 +12,8 @@ from cohdet import (
     DegenerateScenarioError,
     DomainError,
     ScenarioParams,
-    SweepRow,
     SweepSpec,
     bound_report,
-    format_sig,
     qod_advantage,
     render_csv,
     render_json,
@@ -23,7 +21,7 @@ from cohdet import (
     spade_error,
     sweep_rows,
 )
-from cohdet.sweeps import _MEMO_SIZE
+from cohdet.sweeps import _MEMO_SIZE, SweepRow, format_sig
 
 COLUMNS = CSV_HEADER.split(",")
 
