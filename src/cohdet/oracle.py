@@ -6,13 +6,17 @@ grid, integrate overlaps with trapezoid weights, orthonormalize the pair
 with Gram-Schmidt, project the two-source operator onto that numerical
 basis and diagonalize with LAPACK.  No analytic shortcut from the rest of
 the package is reused, which makes the agreement tests meaningful.  These
-routines are meant for verification, not for hot paths.
+routines are meant for verification, not for hot paths.  Like the
+closed-form kernel, they run in stages: `_sample` per separation k,
+`_project` per (k, c) and `_decide` per prior p.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +34,11 @@ MARGIN = 6.0
 
 #: Residual norm below which the two sampled states count as colinear.
 _COLINEAR_EPS = 1e-7
+
+
+def _require_separation(k: float) -> None:
+    if not math.isfinite(k) or k < 0.0:
+        raise DomainError(f"separation k must be finite and >= 0, got {k!r}")
 
 
 @dataclass(frozen=True)
@@ -51,23 +60,26 @@ class SpatialGrid:
     def for_separation(cls, k: float, n_points: int = 4001) -> "SpatialGrid":
         """Default window [-8, 8 + k] sigma, symmetric about the source
         midpoint k/2; 4001 points keep the spacing at (16 + k)/4000."""
-        if not math.isfinite(k) or k < 0.0:
-            raise DomainError(f"separation k must be finite and >= 0, got {k!r}")
+        _require_separation(k)
         return cls(-8.0, 8.0 + k, n_points)
 
     @property
     def spacing(self) -> float:
         return (self.x_max - self.x_min) / (self.n_points - 1)
 
-    @property
+    # Built once per grid and read-only, since every inner product reads them.
+    @cached_property
     def xs(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_points)
+        xs = np.linspace(self.x_min, self.x_max, self.n_points)
+        xs.flags.writeable = False
+        return xs
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
         """Trapezoid quadrature weights."""
         w = np.full(self.n_points, self.spacing)
         w[0] = w[-1] = 0.5 * self.spacing
+        w.flags.writeable = False
         return w
 
     def require_accuracy(self, k: float) -> None:
@@ -90,74 +102,82 @@ class SpatialGrid:
             )
 
 
-@dataclass(frozen=True, eq=False)
-class GridState:
-    """L2-normalized sampled wavefunction on a grid."""
-
-    grid: SpatialGrid
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        norm = float(np.sum(self.amplitudes**2 * self.grid.weights))
-        if abs(norm - 1.0) > 1e-8:
-            raise GridAccuracyError(f"state norm {norm!r} deviates from 1 beyond 1e-8")
-
-
-def psf_state(grid: SpatialGrid, center: float) -> GridState:
+def psf_state(grid: SpatialGrid, center: float) -> np.ndarray:
     """Sample the Gaussian PSF wavefunction centred at `center` and
-    renormalize it numerically on the grid."""
+    renormalize it numerically on the grid: the L2-normalized amplitudes."""
     raw = (2.0 * math.pi) ** -0.25 * np.exp(-((grid.xs - center) ** 2) / 4.0)
-    norm = math.sqrt(float(np.sum(raw * raw * grid.weights)))
-    return GridState(grid, raw / norm)
+    amplitudes = raw / math.sqrt(float(np.sum(raw * raw * grid.weights)))
+    norm = float(np.sum(amplitudes**2 * grid.weights))
+    if not abs(norm - 1.0) <= 1e-8:
+        raise GridAccuracyError(f"state norm {norm!r} deviates from 1 beyond 1e-8")
+    return amplitudes
 
 
 def _inner(grid: SpatialGrid, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b * grid.weights))
 
 
-def _source_states(grid: SpatialGrid, k: float) -> tuple[np.ndarray, np.ndarray]:
-    return psf_state(grid, 0.0).amplitudes, psf_state(grid, k).amplitudes
+#: The sources at 0 and k sampled on `grid`, their quadrature overlap, their
+#: orthonormalized basis and psi0's components in it.
+_Sample = namedtuple("_Sample", "grid psi0 psis overlap basis proj0")
 
 
-def _orthonormal_pair(
-    grid: SpatialGrid, v0: np.ndarray, v1: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Gram-Schmidt with one re-orthogonalization pass; the second vector is
-    None when the pair is numerically colinear (coincident sources)."""
-    e0 = v0 / math.sqrt(_inner(grid, v0, v0))
-    w = v1 - _inner(grid, e0, v1) * e0
+def _sample(k: float, grid: SpatialGrid | None) -> _Sample:
+    """Per-k stage, on `SpatialGrid.for_separation(k)` by default.  The basis
+    comes from Gram-Schmidt with one re-orthogonalization pass and has one
+    vector when the pair is numerically colinear (coincident sources)."""
+    _require_separation(k)
+    if grid is None:
+        grid = SpatialGrid.for_separation(k)
+    grid.require_accuracy(k)
+    psi0, psis = psf_state(grid, 0.0), psf_state(grid, k)
+    e0 = psi0 / math.sqrt(_inner(grid, psi0, psi0))
+    w = psis - _inner(grid, e0, psis) * e0
     w = w - _inner(grid, e0, w) * e0
     norm = math.sqrt(_inner(grid, w, w))
-    if norm < _COLINEAR_EPS:
-        return e0, None
-    return e0, w / norm
+    basis = [e0] if norm < _COLINEAR_EPS else [e0, w / norm]
+    proj0 = np.array([_inner(grid, psi0, e) for e in basis])
+    return _Sample(grid, psi0, psis, _inner(grid, psi0, psis), basis, proj0)
 
 
-def _apply_pair_operator(
-    grid: SpatialGrid, psi0: np.ndarray, psis: np.ndarray, c: float, v: np.ndarray
-) -> np.ndarray:
-    """Apply |psi0><psi0| + |psis><psis| + c*(|psi0><psis| + |psis><psi0|)."""
-    a0 = _inner(grid, psi0, v)
-    a_s = _inner(grid, psis, v)
-    return psi0 * (a0 + c * a_s) + psis * (a_s + c * a0)
-
-
-def _grid_normalization(grid: SpatialGrid, psi0: np.ndarray, psis: np.ndarray, c: float) -> float:
-    q = 1.0 + c * _inner(grid, psi0, psis)
+def _project(sample: _Sample, c: float) -> list[list[float]]:
+    """Per-(k, c) stage: N*(|psi0><psi0| + |psis><psis| + c*(|psi0><psis| +
+    |psis><psi0|)) as the 1x1 or 2x2 matrix of its inner products with the
+    basis."""
+    grid, psi0, psis, basis = sample.grid, sample.psi0, sample.psis, sample.basis
+    q = 1.0 + c * sample.overlap
     if q <= DEGENERACY_EPS:
         raise DegenerateScenarioError(
             f"1 + delta*c = {q:.3e} on the grid: state is not normalizable"
         )
-    return 0.5 / q
+    norm = 0.5 / q
+    op = []
+    for e in basis:
+        a0, a_s = _inner(grid, psi0, e), _inner(grid, psis, e)
+        op.append(norm * (psi0 * (a0 + c * a_s) + psis * (a_s + c * a0)))
+    return [[_inner(grid, e, op_e) for op_e in op] for e in basis]
+
+
+def _density(m: list[list[float]]) -> DensityMatrix2:
+    """rho_2 from a projection, with its off-diagonal pair averaged."""
+    if len(m) == 1:
+        return DensityMatrix2(m[0][0], 0.0, 0.0)
+    return DensityMatrix2(m[0][0], 0.5 * (m[0][1] + m[1][0]), m[1][1])
+
+
+def _decide(m: list[list[float]], proj0: np.ndarray, p: float) -> float:
+    """Per-p stage.  The weighted difference operator has rank <= 2, so its
+    nonzero eigenvalues are those of its projection onto the
+    orthonormalized pair, obtained here with a numerical eigensolver."""
+    lam = p * np.array(m) - np.outer((1.0 - p) * proj0, proj0)
+    lam = 0.5 * (lam + lam.T)
+    tn = float(np.sum(np.abs(np.linalg.eigvalsh(lam))))
+    return min(0.5, max(0.0, 0.5 * (1.0 - tn)))
 
 
 def grid_overlap(k: float, grid: SpatialGrid | None = None) -> float:
     """Overlap of the two sampled PSF states, by quadrature."""
-    if grid is None:
-        grid = SpatialGrid.for_separation(k)
-    grid.require_accuracy(k)
-    psi0, psis = _source_states(grid, k)
-    return _inner(grid, psi0, psis)
+    return _sample(k, grid).overlap
 
 
 def grid_rho2(k: float, c: float, grid: SpatialGrid | None = None) -> DensityMatrix2:
@@ -165,47 +185,13 @@ def grid_rho2(k: float, c: float, grid: SpatialGrid | None = None) -> DensityMat
     numerically orthonormalized pair."""
     if not math.isfinite(c) or not -1.0 <= c <= 1.0:
         raise DomainError(f"effective coherence must lie in [-1, 1], got {c!r}")
-    if grid is None:
-        grid = SpatialGrid.for_separation(k)
-    grid.require_accuracy(k)
-    psi0, psis = _source_states(grid, k)
-    norm = _grid_normalization(grid, psi0, psis, c)
-    e0, e1 = _orthonormal_pair(grid, psi0, psis)
-    op_e0 = norm * _apply_pair_operator(grid, psi0, psis, c, e0)
-    if e1 is None:
-        return DensityMatrix2(_inner(grid, e0, op_e0), 0.0, 0.0)
-    op_e1 = norm * _apply_pair_operator(grid, psi0, psis, c, e1)
-    m01 = _inner(grid, e0, op_e1)
-    m10 = _inner(grid, e1, op_e0)
-    return DensityMatrix2(_inner(grid, e0, op_e0), 0.5 * (m01 + m10), _inner(grid, e1, op_e1))
+    return _density(_project(_sample(k, grid), c))
 
 
 def grid_helstrom(params: ScenarioParams, grid: SpatialGrid | None = None) -> float:
-    """Minimum error probability recomputed entirely in grid space.
-
-    The weighted difference operator has rank <= 2, so its nonzero
-    eigenvalues are those of its projection onto the orthonormalized pair,
-    obtained here with a numerical eigensolver.
-    """
-    if grid is None:
-        grid = SpatialGrid.for_separation(params.k)
-    grid.require_accuracy(params.k)
-    psi0, psis = _source_states(grid, params.k)
-    c = params.c
-    p = params.p
-    norm = _grid_normalization(grid, psi0, psis, c)
-    e0, e1 = _orthonormal_pair(grid, psi0, psis)
-    basis = [e0] if e1 is None else [e0, e1]
-    dim = len(basis)
-    lam = np.empty((dim, dim))
-    proj0 = [_inner(grid, psi0, e) for e in basis]
-    op = [norm * _apply_pair_operator(grid, psi0, psis, c, e) for e in basis]
-    for i in range(dim):
-        for j in range(dim):
-            lam[i, j] = p * _inner(grid, basis[i], op[j]) - (1.0 - p) * proj0[i] * proj0[j]
-    lam = 0.5 * (lam + lam.T)
-    tn = float(np.sum(np.abs(np.linalg.eigvalsh(lam))))
-    return min(0.5, max(0.0, 0.5 * (1.0 - tn)))
+    """Minimum error probability recomputed entirely in grid space."""
+    sample = _sample(params.k, grid)
+    return _decide(_project(sample, params.c), sample.proj0, params.p)
 
 
 @dataclass(frozen=True)
@@ -246,10 +232,12 @@ def equivalence_report(
     for k in k_values:
         grid = SpatialGrid.for_separation(k, n_points)
         delta = closed_overlap(k)
-        worst_overlap = max(worst_overlap, abs(grid_overlap(k, grid) - delta))
+        sample = _sample(k, grid)
+        worst_overlap = max(worst_overlap, abs(sample.overlap - delta))
         for c in c_values:
             reference = closed_rho2(delta, c)
-            reconstructed = grid_rho2(k, c, grid)
+            projection = _project(sample, c)
+            reconstructed = _density(projection)
             worst_rho2 = max(
                 worst_rho2,
                 abs(reconstructed.a11 - reference.a11),
@@ -260,7 +248,6 @@ def equivalence_report(
             theta = 0.0 if c >= 0.0 else math.pi
             for p in p_values:
                 params = ScenarioParams(k=k, gamma=gamma, theta=theta, p=p)
-                worst_helstrom = max(
-                    worst_helstrom, abs(grid_helstrom(params, grid) - helstrom_bound(params))
-                )
+                grid_bound = _decide(projection, sample.proj0, p)
+                worst_helstrom = max(worst_helstrom, abs(grid_bound - helstrom_bound(params)))
     return VerificationReport(worst_overlap, worst_rho2, worst_helstrom)

@@ -305,13 +305,13 @@ class TestStartup:
     MODULE_ONLY = {
         "helstrom": ("BoundReport",),
         "montecarlo": ("EmpiricalResult",),
-        "oracle": ("GridState", "VerificationReport", "psf_state"),
+        "oracle": ("VerificationReport", "psf_state"),
         "states": ("effective_coherence",),
         "sweeps": ("SweepRow", "format_sig"),
     }
 
     #: Names deleted outright; in_useless_region was a second definition of "useless".
-    DELETED = ("direct_error", "in_useless_region", "sweep_row", "trace_norm")
+    DELETED = ("GridState", "direct_error", "in_useless_region", "sweep_row", "trace_norm")
 
     def test_bound_does_not_load_numpy(self):
         code = (
@@ -347,7 +347,7 @@ class TestStartup:
         for name in self.DELETED:
             with pytest.raises(AttributeError):
                 getattr(cohdet, name)
-            for module in ("helstrom", "states", "sweeps"):
+            for module in ("helstrom", "oracle", "states", "sweeps"):
                 assert not hasattr(importlib.import_module(f"cohdet.{module}"), name)
 
 

@@ -50,19 +50,32 @@ class TestSpatialGrid:
         grid = SpatialGrid.for_separation(0.0, n_points=1601)
         assert float(np.sum(grid.weights)) == pytest.approx(16.0, rel=1e-12)
 
+    def test_samples_are_built_once_and_read_only(self):
+        grid = SpatialGrid.for_separation(1.0)
+        assert grid.weights is grid.weights and grid.xs is grid.xs
+        with pytest.raises(ValueError):
+            grid.weights[0] = 1.0
+        with pytest.raises(ValueError):
+            grid.xs[0] = 1.0
+
 
 class TestPsfState:
     def test_normalized_on_grid(self):
         grid = SpatialGrid.for_separation(3.0)
         for center in (0.0, 3.0):
             state = psf_state(grid, center)
-            norm = float(np.sum(state.amplitudes**2 * grid.weights))
+            norm = float(np.sum(state**2 * grid.weights))
             assert norm == pytest.approx(1.0, abs=1e-10)
 
     def test_peak_sits_at_center(self):
         grid = SpatialGrid.for_separation(2.0)
         state = psf_state(grid, 2.0)
-        assert grid.xs[int(np.argmax(state.amplitudes))] == pytest.approx(2.0, abs=grid.spacing)
+        assert grid.xs[int(np.argmax(state))] == pytest.approx(2.0, abs=grid.spacing)
+
+    def test_center_outside_window_refused(self):
+        # every sample underflows to 0, so the renormalized state is NaN
+        with pytest.raises(GridAccuracyError):
+            psf_state(SpatialGrid(-8.0, 8.0), 1000.0)
 
 
 class TestGridOverlap:
@@ -75,6 +88,14 @@ class TestGridOverlap:
 
     def test_far_tail(self):
         assert grid_overlap(8.0) == pytest.approx(math.exp(-8.0), abs=1e-6)
+
+    @pytest.mark.parametrize("k,grid", [
+        (math.nan, SpatialGrid(-8.0, 8.0)),
+        (-3.0, SpatialGrid(-9.5, 6.5)),  # a window that fits sources at 0 and -3
+    ])
+    def test_rejects_bad_separation_on_a_given_grid(self, k, grid):
+        with pytest.raises(DomainError, match="separation k must be finite and >= 0"):
+            grid_overlap(k, grid)
 
     def test_refinement_keeps_or_improves_accuracy(self):
         # quadrature error must drop at least 4x per spacing halving until it
@@ -147,3 +168,23 @@ class TestEquivalenceReport:
         assert report.max_rho2_error <= 1e-6
         assert report.max_helstrom_error <= 1e-6
         assert report.passed
+
+    def test_maxima_equal_the_public_functions(self):
+        # k = 0 takes the colinear one-vector basis; c < 0 flips theta to pi
+        ks, cs, ps, n_points = [0.0, 0.7, 2.5], [-0.8, 0.0, 0.6], [0.05, 0.5, 0.95], 2001
+        overlap_error = rho2_error = helstrom_error = 0.0
+        for k in ks:
+            grid = SpatialGrid.for_separation(k, n_points)
+            overlap_error = max(overlap_error, abs(grid_overlap(k, grid) - overlap(k)))
+            for c in cs:
+                got, want = grid_rho2(k, c, grid), rho2(overlap(k), c)
+                for name in ("a11", "a12", "a22"):
+                    rho2_error = max(rho2_error, abs(getattr(got, name) - getattr(want, name)))
+                for p in ps:
+                    params = ScenarioParams(k=k, gamma=abs(c), theta=0.0 if c >= 0.0 else math.pi, p=p)
+                    error = abs(grid_helstrom(params, grid) - helstrom_bound(params))
+                    helstrom_error = max(helstrom_error, error)
+        report = equivalence_report(ks, cs, ps, n_points)
+        assert report.max_overlap_error == overlap_error
+        assert report.max_rho2_error == rho2_error
+        assert report.max_helstrom_error == helstrom_error
