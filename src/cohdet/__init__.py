@@ -14,23 +14,22 @@ use, so importing the package for bounds and sweeps does not import it.
 import importlib
 
 from .errors import CohdetError, DegenerateScenarioError, DomainError, GridAccuracyError
-from .helstrom import (
-    bound_report,
-    eigenvalues_sym2,
-    helstrom_bound,
-    qod_advantage,
-    useless_boundary,
-)
-from .spade import spade_advantage, spade_error
-from .states import (
+from .kernel import (
     DensityMatrix2,
     Observable2,
     ScenarioParams,
+    bound_report,
+    eigenvalues_sym2,
+    helstrom_bound,
     lambda_matrix,
     normalization,
     overlap,
+    qod_advantage,
     rho1,
     rho2,
+    spade_advantage,
+    spade_error,
+    useless_boundary,
 )
 from .sweeps import (
     CSV_HEADER,

@@ -18,9 +18,8 @@ import math
 import sys
 
 from .errors import DegenerateScenarioError, DomainError, GridAccuracyError
-from .helstrom import bound_report
-from .states import ScenarioParams
-from .sweeps import SweepSpec, format_sig, formatter, render_csv, render_json, sweep_rows
+from .kernel import ScenarioParams, bound_report
+from .sweeps import SweepSpec, formatter, render_csv, render_json, sweep_rows
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -105,18 +104,8 @@ def _cmd_bound(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_spec(ns: argparse.Namespace, p_range: tuple[float, float, int]) -> SweepSpec:
-    k_min, k_max, k_steps = ns.k_range
-    p_min, p_max, p_steps = p_range
-    return SweepSpec(
-        k_min=k_min, k_max=k_max, k_steps=k_steps,
-        p_min=p_min, p_max=p_max, p_steps=p_steps,
-        gamma=ns.gamma, theta=_theta(ns),
-    )
-
-
 def _run_sweep(ns: argparse.Namespace, p_range: tuple[float, float, int]) -> int:
-    rows = sweep_rows(_sweep_spec(ns, p_range))
+    rows = sweep_rows(SweepSpec(*ns.k_range, *p_range, ns.gamma, _theta(ns)))
     text = render_csv(rows) if ns.format == "csv" else render_json(rows)
     return _emit(text, ns.output)
 
@@ -136,16 +125,9 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
     config = TrialConfig(
         params=_scenario(ns), n_photons=ns.photons, seed=ns.seed, epsilon=ns.epsilon)
     result = run_simulation(config)
-    fields: list[tuple[str, object]] = [
-        ("n_trials", result.n_trials),
-        ("n_errors", result.n_errors),
-        ("error_rate", result.error_rate),
-        ("std_err", result.std_err),
-        ("analytic_p_err", result.analytic_p_err),
-        ("z_score", result.z_score),
-    ]
-    if result.n_attempts is not None:
-        fields.append(("n_attempts", result.n_attempts))
+    fields = list(zip(result._fields, result))
+    if result.n_attempts is None:  # the last field, set only with vacuum modelling
+        fields.pop()
     _print_record(fields, as_json=True)
     return EXIT_OK if abs(result.z_score) <= 3.0 else EXIT_VERIFY
 
@@ -158,10 +140,8 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     except (GridAccuracyError, DomainError) as exc:
         print(f"verify: FAIL ({exc})")
         return EXIT_VERIFY
-    print(f"overlap max abs error = {format_sig(report.max_overlap_error)}")
-    print(f"rho2 max abs error = {format_sig(report.max_rho2_error)}")
-    print(f"helstrom max abs error = {format_sig(report.max_helstrom_error)}")
-    print(f"tolerance = {format_sig(report.tolerance)}")
+    labels = "overlap max abs error", "rho2 max abs error", "helstrom max abs error", "tolerance"
+    _print_record(list(zip(labels, report)), as_json=False)
     if report.passed:
         print("verify: PASS")
         return EXIT_OK

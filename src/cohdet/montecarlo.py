@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError
-from .spade import spade_error
-from .states import ScenarioParams
+from .kernel import ScenarioParams, _require_count, spade_error
 
 #: Trials per RNG shard; each shard owns an independent substream.
 SHARD_SIZE = 1 << 20
@@ -39,10 +39,8 @@ class TrialConfig:
     epsilon: float | None = None
 
     def __post_init__(self) -> None:
-        if int(self.n_photons) != self.n_photons or self.n_photons < 1:
-            raise DomainError(f"n_photons must be a positive integer, got {self.n_photons!r}")
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise DomainError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        _require_count(self.n_photons, 1, "n_photons must be a positive integer")
+        _require_count(self.seed, 0, "seed must be a nonnegative integer")
         if self.epsilon is not None:
             if not math.isfinite(self.epsilon) or not 0.0 < self.epsilon <= 0.1:
                 raise DomainError(
@@ -50,9 +48,9 @@ class TrialConfig:
                 )
 
 
-@dataclass(frozen=True)
-class EmpiricalResult:
-    """Aggregated outcome of a simulation run.
+class EmpiricalResult(NamedTuple):
+    """Aggregated outcome of a simulation run, in the order `cohdet
+    simulate` prints it.
 
     z_score compares the empirical error rate against the analytic one
     using the analytic binomial standard error, so it tests a known null.
@@ -121,12 +119,4 @@ def run_simulation(config: TrialConfig) -> EmpiricalResult:
     else:
         z_score = 0.0 if error_rate == rate else math.copysign(math.inf, error_rate - rate)
 
-    return EmpiricalResult(
-        n_trials=config.n_photons,
-        n_errors=n_errors,
-        error_rate=error_rate,
-        std_err=std_err,
-        analytic_p_err=rate,
-        z_score=z_score,
-        n_attempts=n_attempts,
-    )
+    return EmpiricalResult(config.n_photons, n_errors, error_rate, std_err, rate, z_score, n_attempts)

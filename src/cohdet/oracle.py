@@ -17,14 +17,17 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateScenarioError, DomainError, GridAccuracyError
-from .helstrom import helstrom_bound
-from .states import DEGENERACY_EPS, DensityMatrix2, ScenarioParams
-from .states import overlap as closed_overlap
-from .states import rho2 as closed_rho2
+from .errors import DomainError, GridAccuracyError
+from .kernel import (
+    DensityMatrix2, ScenarioParams, _pair_terms, _prior_terms, _require_count,
+    _require_effective_coherence, _require_normalizable, _require_prior, _require_separation,
+)
+from .kernel import overlap as closed_overlap
+from .kernel import rho2 as closed_rho2
 
 #: Accuracy requirements, in PSF widths: at least this many points, at most
 #: this spacing, and at least a 6 sigma margin beyond each source.
@@ -34,11 +37,6 @@ MARGIN = 6.0
 
 #: Residual norm below which the two sampled states count as colinear.
 _COLINEAR_EPS = 1e-7
-
-
-def _require_separation(k: float) -> None:
-    if not math.isfinite(k) or k < 0.0:
-        raise DomainError(f"separation k must be finite and >= 0, got {k!r}")
 
 
 @dataclass(frozen=True)
@@ -53,8 +51,7 @@ class SpatialGrid:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)) or self.x_max <= self.x_min:
             raise DomainError(f"invalid grid window [{self.x_min!r}, {self.x_max!r}]")
-        if int(self.n_points) != self.n_points or self.n_points < 2:
-            raise DomainError(f"n_points must be an integer >= 2, got {self.n_points!r}")
+        _require_count(self.n_points, 2, "n_points must be an integer >= 2")
 
     @classmethod
     def for_separation(cls, k: float, n_points: int = 4001) -> "SpatialGrid":
@@ -106,7 +103,10 @@ def psf_state(grid: SpatialGrid, center: float) -> np.ndarray:
     """Sample the Gaussian PSF wavefunction centred at `center` and
     renormalize it numerically on the grid: the L2-normalized amplitudes."""
     raw = (2.0 * math.pi) ** -0.25 * np.exp(-((grid.xs - center) ** 2) / 4.0)
-    amplitudes = raw / math.sqrt(float(np.sum(raw * raw * grid.weights)))
+    raw_norm = float(np.sum(raw * raw * grid.weights))
+    if not raw_norm > 0.0:
+        raise GridAccuracyError(f"state at {center!r} vanishes on the grid (norm {raw_norm!r})")
+    amplitudes = raw / math.sqrt(raw_norm)
     norm = float(np.sum(amplitudes**2 * grid.weights))
     if not abs(norm - 1.0) <= 1e-8:
         raise GridAccuracyError(f"state norm {norm!r} deviates from 1 beyond 1e-8")
@@ -145,12 +145,8 @@ def _project(sample: _Sample, c: float) -> list[list[float]]:
     |psis><psi0|)) as the 1x1 or 2x2 matrix of its inner products with the
     basis."""
     grid, psi0, psis, basis = sample.grid, sample.psi0, sample.psis, sample.basis
-    q = 1.0 + c * sample.overlap
-    if q <= DEGENERACY_EPS:
-        raise DegenerateScenarioError(
-            f"1 + delta*c = {q:.3e} on the grid: state is not normalizable"
-        )
-    norm = 0.5 / q
+    _require_normalizable(sample.overlap, c)
+    norm = 0.5 / (1.0 + c * sample.overlap)
     op = []
     for e in basis:
         a0, a_s = _inner(grid, psi0, e), _inner(grid, psis, e)
@@ -183,8 +179,7 @@ def grid_overlap(k: float, grid: SpatialGrid | None = None) -> float:
 def grid_rho2(k: float, c: float, grid: SpatialGrid | None = None) -> DensityMatrix2:
     """Two-source state rebuilt in grid space and projected onto the
     numerically orthonormalized pair."""
-    if not math.isfinite(c) or not -1.0 <= c <= 1.0:
-        raise DomainError(f"effective coherence must lie in [-1, 1], got {c!r}")
+    _require_effective_coherence(c)
     return _density(_project(_sample(k, grid), c))
 
 
@@ -194,9 +189,9 @@ def grid_helstrom(params: ScenarioParams, grid: SpatialGrid | None = None) -> fl
     return _decide(_project(sample, params.c), sample.proj0, params.p)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Largest absolute disagreements between grid space and closed form."""
+class VerificationReport(NamedTuple):
+    """Largest absolute disagreements between grid space and closed form,
+    in the order `cohdet verify` prints them."""
 
     max_overlap_error: float
     max_rho2_error: float
@@ -244,10 +239,9 @@ def equivalence_report(
                 abs(reconstructed.a12 - reference.a12),
                 abs(reconstructed.a22 - reference.a22),
             )
-            gamma = abs(c)
-            theta = 0.0 if c >= 0.0 else math.pi
+            pair = _pair_terms(delta, c)
             for p in p_values:
-                params = ScenarioParams(k=k, gamma=gamma, theta=theta, p=p)
+                _require_prior(p)
                 grid_bound = _decide(projection, sample.proj0, p)
-                worst_helstrom = max(worst_helstrom, abs(grid_bound - helstrom_bound(params)))
+                worst_helstrom = max(worst_helstrom, abs(grid_bound - _prior_terms(pair, p)[0]))
     return VerificationReport(worst_overlap, worst_rho2, worst_helstrom)

@@ -14,8 +14,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DegenerateScenarioError, DomainError
-from .helstrom import _prior_terms
-from .states import _TWO_PI, _pair_terms, _require_admissible, effective_coherence, overlap
+from .kernel import (
+    _TWO_PI, _pair_terms, _prior_terms, _require_count, _require_gamma, _require_normalizable,
+    _require_phase, effective_coherence, overlap,
+)
 
 CSV_HEADER = "k,p,gamma,theta,delta,o_err,d_err,a_qod,p_err_spade,a_d,useless"
 COLUMNS: tuple[str, ...] = tuple(CSV_HEADER.split(","))
@@ -107,16 +109,13 @@ class SweepSpec:
         ):
             if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
                 raise DomainError(f"invalid {name} range [{lo!r}, {hi!r}]")
-            if int(steps) != steps or steps < 1 or (lo < hi and steps < 2):
-                raise DomainError(f"{name}_steps must be >= 2 for a true interval, got {steps!r}")
+            _require_count(steps, 2 if lo < hi else 1, f"{name}_steps must be >= 2 for a true interval")
         if self.k_min < 0.0:
             raise DomainError(f"k range must be nonnegative, got min {self.k_min!r}")
         if self.p_min < 0.0 or self.p_max > 1.0:
             raise DomainError(f"p range must lie in [0, 1], got [{self.p_min!r}, {self.p_max!r}]")
-        if not math.isfinite(self.gamma) or not 0.0 <= self.gamma <= 1.0:
-            raise DomainError(f"gamma must lie in [0, 1], got {self.gamma!r}")
-        if not math.isfinite(self.theta):
-            raise DomainError(f"theta must be finite, got {self.theta!r}")
+        _require_gamma(self.gamma)
+        _require_phase(self.theta)
 
     def k_values(self) -> list[float]:
         return _linspace(self.k_min, self.k_max, self.k_steps)
@@ -155,7 +154,7 @@ def sweep_rows(spec: SweepSpec) -> list[SweepRow]:
     for k in spec.k_values():
         delta = overlap(k)
         try:
-            _require_admissible(delta, c)
+            _require_normalizable(delta, c)
         except DegenerateScenarioError:
             rows.extend(SweepRow(k, p, gamma, theta, degenerate=True) for p in ps)
             continue

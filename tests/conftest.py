@@ -11,7 +11,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from cohdet import ScenarioParams, overlap
-from cohdet.states import effective_coherence
+from cohdet.kernel import effective_coherence
 
 
 def finite_floats(lo, hi):

@@ -31,7 +31,7 @@ from cohdet import (
     useless_boundary,
 )
 from cohdet.cli import main
-from cohdet.states import effective_coherence
+from cohdet.kernel import effective_coherence
 
 THETAS = (0.0, math.pi / 3, 2 * math.pi / 3, math.pi)
 GOLDEN_PATH = Path(__file__).parent / "data" / "fig2a_advantage_map.sha256"

@@ -12,7 +12,7 @@ from conftest import run_python
 
 import cohdet
 from cohdet.cli import main
-from cohdet.helstrom import BoundReport
+from cohdet.kernel import BoundReport
 
 #: What the installed `cohdet` console script runs.
 ENTRY = "import sys; from cohdet.cli import main; sys.exit(main())"
@@ -185,6 +185,16 @@ class TestSweepCommands:
         assert rows[0].endswith(",degenerate")
         assert not any(row.endswith("degenerate") for row in rows[1:])
 
+    @pytest.mark.parametrize("flags", [("--gamma", "2"), ("--theta", "inf")])
+    def test_bad_coherence_words_as_bound_does(self, capsys, flags):
+        errors = set()
+        for argv in (("bound", "--k", "1"), ("spade", "--k-range", "0:1:3"),
+                     ("advantage-map", "--k-range", "0:1:3", "--p-range", "0:1:3")):
+            code, out, err = run_cli(capsys, *argv, *flags)
+            assert (code, out) == (2, "")
+            errors.add(err)
+        assert len(errors) == 1, errors
+
     def test_json_format(self, capsys):
         code, out, err = run_cli(
             capsys, "spade", "--k-range", "2:2:1", "--format", "json"
@@ -303,10 +313,9 @@ class TestStartup:
 
     #: Names dropped from the package namespace, by the module that keeps them.
     MODULE_ONLY = {
-        "helstrom": ("BoundReport",),
+        "kernel": ("BoundReport", "effective_coherence"),
         "montecarlo": ("EmpiricalResult",),
         "oracle": ("VerificationReport", "psf_state"),
-        "states": ("effective_coherence",),
         "sweeps": ("SweepRow", "format_sig"),
     }
 
@@ -334,6 +343,11 @@ class TestStartup:
 
         assert TrialConfig is direct_config and grid_rho2 is direct_grid_rho2
 
+    @pytest.mark.parametrize("module", ["helstrom", "spade", "states"])
+    def test_kernel_modules_folded_into_one(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(f"cohdet.{module}")
+
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError):
             cohdet.sweep_row
@@ -347,7 +361,7 @@ class TestStartup:
         for name in self.DELETED:
             with pytest.raises(AttributeError):
                 getattr(cohdet, name)
-            for module in ("helstrom", "oracle", "states", "sweeps"):
+            for module in ("kernel", "oracle", "sweeps"):
                 assert not hasattr(importlib.import_module(f"cohdet.{module}"), name)
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,9 +74,11 @@ class TestPsfState:
         assert grid.xs[int(np.argmax(state))] == pytest.approx(2.0, abs=grid.spacing)
 
     def test_center_outside_window_refused(self):
-        # every sample underflows to 0, so the renormalized state is NaN
-        with pytest.raises(GridAccuracyError):
-            psf_state(SpatialGrid(-8.0, 8.0), 1000.0)
+        # every sample underflows to 0: refused before numpy divides 0 by 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridAccuracyError):
+                psf_state(SpatialGrid(-8.0, 8.0), 1000.0)
 
 
 class TestGridOverlap:

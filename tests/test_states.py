@@ -12,13 +12,16 @@ from cohdet import (
     DomainError,
     Observable2,
     ScenarioParams,
+    SpatialGrid,
+    SweepSpec,
+    TrialConfig,
     lambda_matrix,
     normalization,
     overlap,
     rho1,
     rho2,
 )
-from cohdet.states import effective_coherence
+from cohdet.kernel import effective_coherence
 
 # Frozen reference values, confirmed against the spatial-grid oracle before
 # being written down here (see test_oracle.py for the independent path).
@@ -67,6 +70,30 @@ class TestEffectiveCoherence:
     def test_rejects_nonfinite_phase(self):
         with pytest.raises(DomainError):
             effective_coherence(0.5, math.inf)
+
+
+class TestCountChecks:
+    """SweepSpec's steps, SpatialGrid.n_points and TrialConfig's n_photons and
+    seed share one count check."""
+
+    MAKERS = {
+        "k_steps": lambda n: SweepSpec(0.0, 1.0, n, 0.0, 1.0, 3),
+        "p_steps": lambda n: SweepSpec(0.0, 1.0, 3, 0.0, 1.0, n),
+        "n_points": lambda n: SpatialGrid(-8.0, 8.0, n),
+        "n_photons": lambda n: TrialConfig(ScenarioParams(k=1.0, gamma=0.0), n, 1),
+        "seed": lambda n: TrialConfig(ScenarioParams(k=1.0, gamma=0.0), 10, n),
+    }
+
+    @pytest.mark.parametrize("field", sorted(MAKERS))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.5, -3])
+    def test_rejects_non_counts_with_domain_error(self, field, bad):
+        with pytest.raises(DomainError, match=f"got {bad!r}$"):
+            self.MAKERS[field](bad)
+
+    @pytest.mark.parametrize("field", sorted(MAKERS))
+    def test_accepts_whole_numbers_of_any_size(self, field):
+        self.MAKERS[field](3.0)
+        self.MAKERS[field](10**400)  # compared as an int, never through float
 
 
 class TestNormalization:
