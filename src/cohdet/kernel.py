@@ -26,15 +26,15 @@ errs with min(p, 1-p).  Binary mode sorting splits the photons into the
 Gaussian mode and its orthogonal complement, one detector each, and takes
 a complement click as proof of the second source, with no prior at all.
 The evaluation kernel has two halves: `_pair_terms` per (delta, c) and
-`_prior_terms` per prior p.
+`_prior_terms` per prior p, which holds the package's only copy of the
+decision arithmetic; every scalar result and every sweep row reads its record.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import DegenerateScenarioError, DomainError
@@ -118,27 +118,30 @@ class ScenarioParams:
     gamma  coherence strength between the two sources, in [0, 1]
     theta  coherence phase in radians (stored reduced to [0, 2*pi))
     p      prior probability that the second source exists, in [0, 1]
+    delta  overlap(k), computed at construction; not part of repr, == or hash
+    c      effective_coherence(gamma, theta), likewise
     """
 
     k: float
     gamma: float
     theta: float = 0.0
     p: float = 0.5
+    delta: float = field(init=False, repr=False, compare=False)
+    c: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # One check per input; with several bad inputs, the first one here names the error.
         _require_prior(self.p)
         _require_phase(self.theta)
-        object.__setattr__(self, "theta", self.theta % _TWO_PI)
-        _require_normalizable(self.delta, self.c)
-
-    # Computed and validated once, at construction.
-    @cached_property
-    def delta(self) -> float:
-        return overlap(self.k)
-
-    @cached_property
-    def c(self) -> float:
-        return effective_coherence(self.gamma, self.theta)
+        _require_separation(self.k)
+        _require_gamma(self.gamma)
+        theta = self.theta % _TWO_PI
+        delta = math.exp(-0.125 * self.k * self.k)
+        c = self.gamma * math.cos(theta)
+        _require_normalizable(delta, c)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "c", c)
 
 
 @dataclass(frozen=True)
@@ -181,7 +184,7 @@ class DensityMatrix2(Observable2):
 def normalization(delta: float, c: float) -> float:
     """Trace-restoring factor N = 1/(2*(1 + delta*c)) of the two-source state."""
     _require_admissible(delta, c)
-    return 0.5 / (1.0 + delta * c)
+    return _pair_terms(delta, c)[0]
 
 
 def _pair_terms(delta: float, c: float) -> tuple[float, float, float, float, float]:
@@ -224,9 +227,7 @@ def lambda_matrix(params: ScenarioParams) -> Observable2:
     This is the operator whose trace norm fixes the minimum achievable
     error probability; its trace is 2p - 1.
     """
-    _, r11, r12, r22, _ = _pair_terms(params.delta, params.c)
-    p = params.p
-    return Observable2(p * r11 - (1.0 - p), p * r12, p * r22)
+    return Observable2(*_evaluate(params)[:3])
 
 
 def eigenvalues_sym2(m: Observable2) -> tuple[float, float]:
@@ -236,11 +237,11 @@ def eigenvalues_sym2(m: Observable2) -> tuple[float, float]:
     return half_trace - radius, half_trace + radius
 
 
-def _prior_terms(
-    pair: tuple[float, float, float, float, float], p: float
-) -> tuple[float, float, float, float, float, bool]:
+def _prior_terms(pair: tuple[float, float, float, float, float], p: float) -> tuple:
     """Second half of the evaluation kernel: from `_pair_terms`'s output and
-    a prior p, (o_err, d_err, a_qod, p_err_spade, a_d, useless).
+    a prior p, the record (a11, a12, a22, eig_low, eig_high, o_err, d_err,
+    a_qod, p_err_spade, a_d, useless).  The first three are the entries of
+    p*rho_2 - (1-p)*rho_1 and the next two its ascending eigenvalues.
 
     o_err is clamped into [0, 1/2] so that floating-point noise can never
     make the optimum look worse than guessing.  At a deterministic prior
@@ -249,11 +250,12 @@ def _prior_terms(
     """
     _, r11, r12, r22, q = pair
     a11 = p * r11 - (1.0 - p)
+    a12 = p * r12
     a22 = p * r22
     half_trace = 0.5 * (a11 + a22)
-    radius = math.hypot(0.5 * (a11 - a22), p * r12)
-    norm = abs(half_trace - radius) + abs(half_trace + radius)
-    o_err = min(0.5, max(0.0, 0.5 * (1.0 - norm)))
+    radius = math.hypot(0.5 * (a11 - a22), a12)
+    low, high = half_trace - radius, half_trace + radius
+    o_err = min(0.5, max(0.0, 0.5 * (1.0 - (abs(low) + abs(high)))))
     d_err = min(p, 1.0 - p)
     if d_err == 0.0:
         a_qod = 1.0
@@ -267,22 +269,22 @@ def _prior_terms(
     else:
         a_d = d_err / p_err
     useless = math.isfinite(a_qod) and abs(a_qod - 1.0) <= USELESS_RATIO_TOL
-    return o_err, d_err, a_qod, p_err, a_d, useless
+    return a11, a12, a22, low, high, o_err, d_err, a_qod, p_err, a_d, useless
 
 
-def _evaluate(params: ScenarioParams) -> tuple[float, float, float, float, float, bool]:
-    """(o_err, d_err, a_qod, p_err_spade, a_d, useless) for one scenario."""
+def _evaluate(params: ScenarioParams) -> tuple:
+    """`_prior_terms`'s record of one scenario."""
     return _prior_terms(_pair_terms(params.delta, params.c), params.p)
 
 
 def helstrom_bound(params: ScenarioParams) -> float:
     """Minimum error probability over all detection strategies, in [0, 1/2]."""
-    return _evaluate(params)[0]
+    return _evaluate(params)[5]
 
 
 def qod_advantage(params: ScenarioParams) -> float:
     """Ratio of the blind-guess error to the optimal-measurement error, >= 1."""
-    return _evaluate(params)[2]
+    return _evaluate(params)[7]
 
 
 def useless_boundary(delta: float, c: float) -> float:
@@ -324,21 +326,11 @@ class BoundReport(NamedTuple):
 
 
 def bound_report(params: ScenarioParams) -> BoundReport:
-    """The whole report of one scenario from one kernel call.  The weighted
-    difference and its eigenvalues use the expressions of `lambda_matrix`
-    and `eigenvalues_sym2` inline: the same tokens, without the few percent
-    that the calls and an Observable2's validation would cost."""
-    delta, c, p = params.delta, params.c, params.p
+    """The whole report of one scenario from one pass through the kernel."""
+    delta, c = params.delta, params.c
     pair = _pair_terms(delta, c)
-    n, r11, r12, r22, _ = pair
-    a11, a12, a22 = p * r11 - (1.0 - p), p * r12, p * r22
-    half_trace = 0.5 * (a11 + a22)
-    radius = math.hypot(0.5 * (a11 - a22), a12)
-    o_err, d_err, a_qod, _, _, useless = _prior_terms(pair, p)
-    return BoundReport(
-        delta, n, a11, a12, a22, half_trace - radius, half_trace + radius,
-        o_err, d_err, a_qod, _p_star(delta, c), useless,
-    )
+    record = _prior_terms(pair, params.p)
+    return BoundReport(delta, pair[0], *record[:8], _p_star(delta, c), record[10])
 
 
 def spade_error(delta: float, c: float, p: float) -> float:
@@ -350,9 +342,9 @@ def spade_error(delta: float, c: float, p: float) -> float:
     """
     _require_prior(p)
     _require_admissible(delta, c)
-    return p * _pair_terms(delta, c)[4]
+    return _prior_terms(_pair_terms(delta, c), p)[8]
 
 
 def spade_advantage(params: ScenarioParams) -> float:
     """Ratio of the blind-guess error to the mode-sorting error."""
-    return _evaluate(params)[4]
+    return _evaluate(params)[9]

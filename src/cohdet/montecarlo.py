@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .kernel import ScenarioParams, _require_count, spade_error
+from .kernel import ScenarioParams, _pair_terms, _require_count
 
 #: Trials per RNG shard; each shard owns an independent substream.
 SHARD_SIZE = 1 << 20
@@ -95,7 +95,8 @@ def run_simulation(config: TrialConfig) -> EmpiricalResult:
             ) from exc
         n_attempts = config.n_photons + int(failures)
 
-    q2 = spade_error(params.delta, params.c, 1.0)
+    # The mode sorter's miss probability; the pair was checked with params.
+    q = _pair_terms(params.delta, params.c)[4]
 
     n_errors = 0
     remaining = config.n_photons
@@ -107,11 +108,11 @@ def run_simulation(config: TrialConfig) -> EmpiricalResult:
         u_event = rng.random(block)
         # The rule only errs when the second source exists and the photon
         # still lands in the Gaussian mode.
-        n_errors += int(np.count_nonzero((u_truth < params.p) & (u_event < q2)))
+        n_errors += int(np.count_nonzero((u_truth < params.p) & (u_event < q)))
         remaining -= block
         shard += 1
 
-    rate = spade_error(params.delta, params.c, params.p)
+    rate = params.p * q  # spade_error(delta, c, p)
     error_rate = n_errors / config.n_photons
     std_err = math.sqrt(rate * (1.0 - rate) / config.n_photons)
     if std_err > 0.0:

@@ -243,5 +243,5 @@ def equivalence_report(
             for p in p_values:
                 _require_prior(p)
                 grid_bound = _decide(projection, sample.proj0, p)
-                worst_helstrom = max(worst_helstrom, abs(grid_bound - _prior_terms(pair, p)[0]))
+                worst_helstrom = max(worst_helstrom, abs(grid_bound - _prior_terms(pair, p)[5]))
     return VerificationReport(worst_overlap, worst_rho2, worst_helstrom)

@@ -159,7 +159,11 @@ def sweep_rows(spec: SweepSpec) -> list[SweepRow]:
             rows.extend(SweepRow(k, p, gamma, theta, degenerate=True) for p in ps)
             continue
         pair = _pair_terms(delta, c)
-        rows.extend(SweepRow(k, p, gamma, theta, delta, *_prior_terms(pair, p)) for p in ps)
+        # tuple.__new__ skips the NamedTuple's keyword-handling constructor.
+        rows.extend(
+            tuple.__new__(SweepRow, (k, p, gamma, theta, delta, *_prior_terms(pair, p)[5:], False))
+            for p in ps
+        )
     return rows
 
 

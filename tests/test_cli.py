@@ -299,6 +299,13 @@ class TestVerify:
         assert code == 5
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("points", ["0", "1", "-3"])
+    def test_too_few_grid_points_exit_2(self, capsys, points):
+        code, out, err = run_cli(capsys, "verify", "--grid-points", points)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: n_points must be an integer >= 2, got {int(points)}\n"
+
 
 class TestStartup:
     #: cohdet.__all__.

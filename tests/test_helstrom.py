@@ -18,6 +18,8 @@ from cohdet import (
     overlap,
     qod_advantage,
     rho1,
+    spade_advantage,
+    spade_error,
     useless_boundary,
 )
 
@@ -235,6 +237,11 @@ class TestBoundReport:
         assert report.o_err == helstrom_bound(params)
         assert report.a_qod == qod_advantage(params)
         assert report.p_star == useless_boundary(params.delta, params.c)
+        p_err, a_d = spade_error(params.delta, params.c, params.p), spade_advantage(params)
+        if p_err > 0.0:
+            assert a_d == report.d_err / p_err
+        else:
+            assert a_d == (1.0 if report.d_err == 0.0 else math.inf)
 
     def test_useless_flag_matches_region(self):
         inside = bound_report(ScenarioParams(k=1.0, gamma=0.0, theta=0.0, p=0.8))

@@ -215,6 +215,49 @@ class TestScenarioParams:
         with pytest.raises(AttributeError):
             params.k = 2.0
 
+    # With several bad inputs, the first check in the order p, theta, k,
+    # gamma, singular point names the error; `cohdet bound` prints it.
+    @pytest.mark.parametrize(
+        "kwargs, error, message",
+        [
+            (dict(k=math.nan, gamma=2.0, theta=math.inf, p=2.0),
+             DomainError, "prior p must lie in [0, 1], got 2.0"),
+            (dict(k=math.nan, gamma=2.0, theta=math.inf, p=math.nan),
+             DomainError, "prior p must lie in [0, 1], got nan"),
+            (dict(k=math.nan, gamma=2.0, theta=math.inf, p=1.0),
+             DomainError, "coherence phase theta must be finite, got inf"),
+            (dict(k=math.nan, gamma=2.0, theta=1e308, p=1.0),
+             DomainError, "separation k must be finite and >= 0, got nan"),
+            (dict(k=-1.0, gamma=math.nan, theta=0.0, p=0.0),
+             DomainError, "separation k must be finite and >= 0, got -1.0"),
+            (dict(k=0.0, gamma=2.0, theta=math.pi, p=0.5),
+             DomainError, "coherence strength gamma must lie in [0, 1], got 2.0"),
+            (dict(k=0.0, gamma=1.0, theta=math.pi, p=0.5),
+             DegenerateScenarioError,
+             "1 + delta*c = 0.000e+00: the two-source state is not normalizable"),
+        ],
+    )
+    def test_error_precedence(self, kwargs, error, message):
+        with pytest.raises(error) as raised:
+            ScenarioParams(**kwargs)
+        assert type(raised.value) is error
+        assert str(raised.value) == message
+
+    def test_repr_eq_and_hash_ignore_derived_values(self):
+        params = ScenarioParams(k=1.5, gamma=0.25, theta=7.0, p=0.125)
+        assert repr(params) == f"ScenarioParams(k=1.5, gamma=0.25, theta={7.0 - 2.0 * math.pi!r}, p=0.125)"
+        twin = ScenarioParams(k=1.5, gamma=0.25, theta=7.0 - 2.0 * math.pi, p=0.125)
+        assert twin == params and hash(twin) == hash(params)
+        assert hash(params) == hash((params.k, params.gamma, params.theta, params.p))
+        object.__setattr__(twin, "delta", 0.0)
+        object.__setattr__(twin, "c", 0.0)
+        assert twin == params and hash(twin) == hash(params) and repr(twin) == repr(params)
+
+    @given(scenario_params())
+    def test_derived_values_equal_the_public_functions(self, params):
+        assert params.delta.hex() == overlap(params.k).hex()
+        assert params.c.hex() == effective_coherence(params.gamma, params.theta).hex()
+
 
 class TestMatrixTypes:
     def test_observable_rejects_nonfinite(self):
