@@ -15,7 +15,6 @@ import importlib
 
 from .errors import CohdetError, DegenerateScenarioError, DomainError, GridAccuracyError
 from .kernel import (
-    DensityMatrix2,
     Observable2,
     ScenarioParams,
     bound_report,
@@ -56,10 +55,10 @@ def __getattr__(name: str):
 __version__ = "0.1.0"
 
 __all__ = [
-    "CSV_HEADER", "CohdetError", "DegenerateScenarioError", "DensityMatrix2", "DomainError",
-    "GridAccuracyError", "Observable2", "ScenarioParams", "SpatialGrid", "SweepSpec",
-    "TrialConfig", "bound_report", "eigenvalues_sym2", "equivalence_report", "grid_helstrom",
-    "grid_overlap", "grid_rho2", "helstrom_bound", "lambda_matrix", "normalization", "overlap",
-    "qod_advantage", "render_csv", "render_json", "rho1", "rho2", "run_simulation",
-    "spade_advantage", "spade_error", "sweep_rows", "useless_boundary",
+    "CSV_HEADER", "CohdetError", "DegenerateScenarioError", "DomainError", "GridAccuracyError",
+    "Observable2", "ScenarioParams", "SpatialGrid", "SweepSpec", "TrialConfig", "bound_report",
+    "eigenvalues_sym2", "equivalence_report", "grid_helstrom", "grid_overlap", "grid_rho2",
+    "helstrom_bound", "lambda_matrix", "normalization", "overlap", "qod_advantage", "render_csv",
+    "render_json", "rho1", "rho2", "run_simulation", "spade_advantage", "spade_error",
+    "sweep_rows", "useless_boundary",
 ]

@@ -23,11 +23,14 @@ import numpy as np
 
 from .errors import DomainError, GridAccuracyError
 from .kernel import (
-    DensityMatrix2, ScenarioParams, _pair_terms, _prior_terms, _require_count,
+    Observable2, ScenarioParams, _pair_terms, _prior_terms, _require_admissible, _require_count,
     _require_effective_coherence, _require_normalizable, _require_prior, _require_separation,
 )
 from .kernel import overlap as closed_overlap
-from .kernel import rho2 as closed_rho2
+
+#: The agreement between grid space and closed form that `verify` promises,
+#: and the accuracy every grid state must meet.
+TOLERANCE = 1e-6
 
 #: Accuracy requirements, in PSF widths: at least this many points, at most
 #: this spacing, and at least a 6 sigma margin beyond each source.
@@ -80,8 +83,8 @@ class SpatialGrid:
         return w
 
     def require_accuracy(self, k: float) -> None:
-        """Reject grids that cannot support the promised 1e-6 agreement for
-        sources at 0 and k."""
+        """Reject grids that cannot support the promised TOLERANCE agreement
+        for sources at 0 and k."""
         if self.n_points < MIN_POINTS:
             raise GridAccuracyError(f"need at least {MIN_POINTS} points, got {self.n_points}")
         if self.spacing > MAX_SPACING:
@@ -154,11 +157,20 @@ def _project(sample: _Sample, c: float) -> list[list[float]]:
     return [[_inner(grid, e, op_e) for op_e in op] for e in basis]
 
 
-def _density(m: list[list[float]]) -> DensityMatrix2:
-    """rho_2 from a projection, with its off-diagonal pair averaged."""
+def _density(m: list[list[float]]) -> Observable2:
+    """rho_2 from a projection, with its off-diagonal pair averaged.  The one
+    state built outside the kernel, so the one whose unit trace and
+    positivity are checked: a miss beyond TOLERANCE, or a non-finite entry,
+    is a quadrature fault."""
     if len(m) == 1:
-        return DensityMatrix2(m[0][0], 0.0, 0.0)
-    return DensityMatrix2(m[0][0], 0.5 * (m[0][1] + m[1][0]), m[1][1])
+        rho = Observable2(m[0][0], 0.0, 0.0)
+    else:
+        rho = Observable2(m[0][0], 0.5 * (m[0][1] + m[1][0]), m[1][1])
+    if not abs(rho.trace() - 1.0) <= TOLERANCE:
+        raise GridAccuracyError(f"grid state trace {rho.trace()!r} deviates from 1 beyond {TOLERANCE}")
+    if not (rho.a11 >= -TOLERANCE and rho.a22 >= -TOLERANCE and rho.det() >= -TOLERANCE):
+        raise GridAccuracyError(f"grid state {tuple(rho)!r} is not positive semidefinite within {TOLERANCE}")
+    return rho
 
 
 def _decide(m: list[list[float]], proj0: np.ndarray, p: float) -> float:
@@ -176,7 +188,7 @@ def grid_overlap(k: float, grid: SpatialGrid | None = None) -> float:
     return _sample(k, grid).overlap
 
 
-def grid_rho2(k: float, c: float, grid: SpatialGrid | None = None) -> DensityMatrix2:
+def grid_rho2(k: float, c: float, grid: SpatialGrid | None = None) -> Observable2:
     """Two-source state rebuilt in grid space and projected onto the
     numerically orthonormalized pair."""
     _require_effective_coherence(c)
@@ -196,7 +208,7 @@ class VerificationReport(NamedTuple):
     max_overlap_error: float
     max_rho2_error: float
     max_helstrom_error: float
-    tolerance: float = 1e-6
+    tolerance: float = TOLERANCE
 
     @property
     def passed(self) -> bool:
@@ -230,16 +242,11 @@ def equivalence_report(
         sample = _sample(k, grid)
         worst_overlap = max(worst_overlap, abs(sample.overlap - delta))
         for c in c_values:
-            reference = closed_rho2(delta, c)
-            projection = _project(sample, c)
-            reconstructed = _density(projection)
-            worst_rho2 = max(
-                worst_rho2,
-                abs(reconstructed.a11 - reference.a11),
-                abs(reconstructed.a12 - reference.a12),
-                abs(reconstructed.a22 - reference.a22),
-            )
+            _require_admissible(delta, c)
             pair = _pair_terms(delta, c)
+            projection = _project(sample, c)
+            reconstructed = zip(_density(projection), pair[1:4])
+            worst_rho2 = max(worst_rho2, *(abs(got - want) for got, want in reconstructed))
             for p in p_values:
                 _require_prior(p)
                 grid_bound = _decide(projection, sample.proj0, p)

@@ -310,12 +310,12 @@ class TestVerify:
 class TestStartup:
     #: cohdet.__all__.
     NAMES = {
-        "CSV_HEADER", "CohdetError", "DegenerateScenarioError", "DensityMatrix2", "DomainError",
-        "GridAccuracyError", "Observable2", "ScenarioParams", "SpatialGrid", "SweepSpec",
-        "TrialConfig", "bound_report", "eigenvalues_sym2", "equivalence_report", "grid_helstrom",
-        "grid_overlap", "grid_rho2", "helstrom_bound", "lambda_matrix", "normalization", "overlap",
-        "qod_advantage", "render_csv", "render_json", "rho1", "rho2", "run_simulation",
-        "spade_advantage", "spade_error", "sweep_rows", "useless_boundary",
+        "CSV_HEADER", "CohdetError", "DegenerateScenarioError", "DomainError", "GridAccuracyError",
+        "Observable2", "ScenarioParams", "SpatialGrid", "SweepSpec", "TrialConfig", "bound_report",
+        "eigenvalues_sym2", "equivalence_report", "grid_helstrom", "grid_overlap", "grid_rho2",
+        "helstrom_bound", "lambda_matrix", "normalization", "overlap", "qod_advantage", "render_csv",
+        "render_json", "rho1", "rho2", "run_simulation", "spade_advantage", "spade_error",
+        "sweep_rows", "useless_boundary",
     }
 
     #: Names dropped from the package namespace, by the module that keeps them.
@@ -326,8 +326,10 @@ class TestStartup:
         "sweeps": ("SweepRow", "format_sig"),
     }
 
-    #: Names deleted outright; in_useless_region was a second definition of "useless".
-    DELETED = ("GridState", "direct_error", "in_useless_region", "sweep_row", "trace_norm")
+    #: Names deleted outright; in_useless_region was a second definition of "useless",
+    #: and DensityMatrix2 a second 2x2 record whose checks only the oracle needs.
+    DELETED = ("DensityMatrix2", "GridState", "IDENTITY_TOL", "direct_error", "in_useless_region",
+               "sweep_row", "trace_norm")
 
     def test_bound_does_not_load_numpy(self):
         code = (
@@ -341,7 +343,7 @@ class TestStartup:
 
     def test_every_public_name_resolves(self):
         assert set(cohdet.__all__) == self.NAMES
-        assert len(cohdet.__all__) == 31
+        assert len(cohdet.__all__) == 30
         for name in cohdet.__all__:
             assert getattr(cohdet, name) is not None
         from cohdet import TrialConfig, grid_rho2

@@ -66,6 +66,12 @@ class TestEigenvalues:
         assert low + high == pytest.approx(m.trace(), abs=1e-10 * scale)
         assert low * high == pytest.approx(m.det(), abs=1e-10 * scale**2)
 
+    def test_rejects_nonfinite(self):
+        # the one public function that takes a matrix its caller built
+        for entries in ((math.inf, 0.0, 0.0), (0.0, math.nan, 0.0), (0.0, 0.0, -math.inf)):
+            with pytest.raises(DomainError, match="must be finite"):
+                eigenvalues_sym2(Observable2(*entries))
+
     def test_agrees_with_lapack(self):
         rng = np.random.default_rng(20240817)
         for _ in range(200):

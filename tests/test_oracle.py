@@ -18,7 +18,7 @@ from cohdet import (
     overlap,
     rho2,
 )
-from cohdet.oracle import psf_state
+from cohdet.oracle import TOLERANCE, _density, psf_state
 
 RHO2_K2_C0 = (0.6839397205857212, 0.24111416276052183, 0.31606027941427883)
 
@@ -140,6 +140,31 @@ class TestGridRho2:
         with pytest.raises(DomainError):
             grid_rho2(1.0, 1.5)
 
+    @pytest.mark.parametrize("k", [0.01, 1e-3, 1e-4])
+    def test_returns_next_to_singular_point(self, k):
+        # quadrature cancels next to 1 + c*delta = 0 but stays within TOLERANCE
+        assert abs(grid_rho2(k, -1.0).trace() - 1.0) <= 1e-6
+
+
+class TestDensity:
+    """The check of a state built by quadrature, the one state built outside the kernel."""
+
+    def test_accepts_a_state(self):
+        assert _density([[0.5, 0.1], [0.1, 0.5]]) == (0.5, 0.1, 0.5)
+        assert _density([[1.0]]) == (1.0, 0.0, 0.0)
+
+    def test_rejects_bad_trace(self):
+        with pytest.raises(GridAccuracyError, match="trace"):
+            _density([[0.6, 0.0], [0.0, 0.5]])
+
+    def test_rejects_indefinite(self):
+        with pytest.raises(GridAccuracyError, match="positive semidefinite"):
+            _density([[0.5, 0.6], [0.6, 0.5]])
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(GridAccuracyError):
+            _density([[0.5, math.nan], [math.nan, 0.5]])
+
 
 class TestGridHelstrom:
     def test_coincident_sources(self):
@@ -170,6 +195,7 @@ class TestEquivalenceReport:
         assert report.max_overlap_error <= 1e-6
         assert report.max_rho2_error <= 1e-6
         assert report.max_helstrom_error <= 1e-6
+        assert report.tolerance == TOLERANCE == 1e-6
         assert report.passed
 
     def test_maxima_equal_the_public_functions(self):

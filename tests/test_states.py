@@ -8,9 +8,7 @@ from conftest import admissible_delta_c, finite_floats, scenario_params
 
 from cohdet import (
     DegenerateScenarioError,
-    DensityMatrix2,
     DomainError,
-    Observable2,
     ScenarioParams,
     SpatialGrid,
     SweepSpec,
@@ -21,7 +19,7 @@ from cohdet import (
     rho1,
     rho2,
 )
-from cohdet.kernel import effective_coherence
+from cohdet.kernel import _pair_terms, effective_coherence
 
 # Frozen reference values, confirmed against the spatial-grid oracle before
 # being written down here (see test_oracle.py for the independent path).
@@ -147,6 +145,13 @@ class TestStates:
         assert r.a11 >= -1e-12
         assert r.det() >= -1e-12
 
+    @pytest.mark.parametrize("k", [0.01, 1e-3, 1e-4])
+    def test_rho2_returns_next_to_singular_point(self, k):
+        # rho2 returns the kernel's entries as they are; how close they come
+        # to unit trace next to 1 + delta*c = 0 is the kernel's accuracy.
+        delta = overlap(k)
+        assert tuple(rho2(delta, -1.0)) == _pair_terms(delta, -1.0)[1:4]
+
 
 class TestLambdaMatrix:
     def test_one_sided_priors(self):
@@ -257,17 +262,3 @@ class TestScenarioParams:
     def test_derived_values_equal_the_public_functions(self, params):
         assert params.delta.hex() == overlap(params.k).hex()
         assert params.c.hex() == effective_coherence(params.gamma, params.theta).hex()
-
-
-class TestMatrixTypes:
-    def test_observable_rejects_nonfinite(self):
-        with pytest.raises(DomainError):
-            Observable2(math.inf, 0.0, 0.0)
-
-    def test_density_matrix_rejects_bad_trace(self):
-        with pytest.raises(DomainError):
-            DensityMatrix2(0.6, 0.0, 0.5)
-
-    def test_density_matrix_rejects_indefinite(self):
-        with pytest.raises(DomainError):
-            DensityMatrix2(0.5, 0.6, 0.5)
