@@ -229,8 +229,8 @@ def _prior_terms(pair: tuple[float, float, float, float, float], p: float) -> tu
 
     o_err is clamped into [0, 1/2] so that floating-point noise can never
     make the optimum look worse than guessing.  At a deterministic prior
-    both errors vanish analytically, even when rounding leaves a ~1e-16
-    residue in o_err, so a_qod is 1 there; a_d is 1 at p = 0.
+    both errors vanish analytically, so o_err is set to 0 there rather than
+    the ~1e-16 residue rounding can leave, and a_qod is 1; a_d is 1 at p = 0.
     """
     _, r11, r12, r22, q = pair
     a11 = p * r11 - (1.0 - p)
@@ -239,14 +239,12 @@ def _prior_terms(pair: tuple[float, float, float, float, float], p: float) -> tu
     half_trace = 0.5 * (a11 + a22)
     radius = math.hypot(0.5 * (a11 - a22), a12)
     low, high = half_trace - radius, half_trace + radius
-    o_err = min(0.5, max(0.0, 0.5 * (1.0 - (abs(low) + abs(high)))))
     d_err = min(p, 1.0 - p)
     if d_err == 0.0:
-        a_qod = 1.0
-    elif o_err == 0.0:
-        a_qod = math.inf
+        o_err, a_qod = 0.0, 1.0
     else:
-        a_qod = d_err / o_err
+        o_err = min(0.5, max(0.0, 0.5 * (1.0 - (abs(low) + abs(high)))))
+        a_qod = d_err / o_err if o_err > 0.0 else math.inf
     p_err = p * q
     if p_err == 0.0:
         a_d = 1.0 if d_err == 0.0 else math.inf
