@@ -8,18 +8,19 @@ Subcommands:
   verify         grid-space versus closed-form equivalence check
 
 Exit codes: 0 success, 2 bad flags, 3 degenerate scenario, 4 output I/O
-error, 5 verification or statistical failure.
+error (an `--output` file or stdout), 5 verification or statistical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from .errors import DegenerateScenarioError, DomainError, GridAccuracyError
 from .kernel import ScenarioParams, bound_report
-from .sweeps import SweepSpec, formatter, render_csv, render_json, sweep_rows
+from .sweeps import SweepSpec, formatter, stream_sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -83,19 +84,6 @@ def _print_record(fields: list[tuple[str, object]], as_json: bool) -> None:
             print(f"{key} = {text}")
 
 
-def _emit(text: str, path: str | None) -> int:
-    if path is None:
-        sys.stdout.write(text)
-        return EXIT_OK
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
-
-
 def _cmd_bound(ns: argparse.Namespace) -> int:
     params = _scenario(ns)
     report = bound_report(params)
@@ -105,9 +93,20 @@ def _cmd_bound(ns: argparse.Namespace) -> int:
 
 
 def _run_sweep(ns: argparse.Namespace, p_range: tuple[float, float, int]) -> int:
-    rows = sweep_rows(SweepSpec(*ns.k_range, *p_range, ns.gamma, _theta(ns)))
-    text = render_csv(rows) if ns.format == "csv" else render_json(rows)
-    return _emit(text, ns.output)
+    """Check the spec, open the output, then compute and write one chunk
+    per separation.  A write error in mid-stream exits 4 and leaves the
+    partial file in place; on stdout, `main` reports it."""
+    chunks = stream_sweep(SweepSpec(*ns.k_range, *p_range, ns.gamma, _theta(ns)), ns.format == "json")
+    if ns.output is None:
+        sys.stdout.writelines(chunks)
+        return EXIT_OK
+    try:
+        with open(ns.output, "w", encoding="utf-8", newline="") as handle:
+            handle.writelines(chunks)
+    except OSError as exc:
+        print(f"error: cannot write {ns.output}: {exc}", file=sys.stderr)
+        return EXIT_IO
+    return EXIT_OK
 
 
 def _cmd_advantage_map(ns: argparse.Namespace) -> int:
@@ -192,18 +191,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _drop_stdout() -> None:
+    """Point fd 1 at the null device, so that what stdout still buffers does
+    not fail again at shutdown with an "Exception ignored" line."""
+    null = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(null, sys.stdout.fileno())
+    finally:
+        os.close(null)
+
+
 def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
-    # The one place where a rejected value becomes an error line and an exit
-    # code; `verify` reports its own failures as exit 5.
+    # The one place where a rejected value or a failed stdout becomes an
+    # error line and an exit code; `verify` reports its own failures as exit 5.
     try:
-        return ns.func(ns)
+        code = ns.func(ns)
+        sys.stdout.flush()
     except DegenerateScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:  # an `--output` file reports its own errors, so this is stdout
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        _drop_stdout()
+        return EXIT_IO
+    return code
 
 
 if __name__ == "__main__":

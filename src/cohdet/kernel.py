@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import DegenerateScenarioError, DomainError
@@ -106,8 +105,39 @@ def _require_normalizable(delta: float, c: float) -> None:
         )
 
 
-@dataclass(frozen=True)
-class ScenarioParams:
+class _Record:
+    """Base of the immutable records that are not tuples: their fields sit in
+    slots and cannot be reassigned, and repr, == and hash cover `_fields`,
+    as a frozen dataclass's do, without the import cost of `dataclasses`."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__qualname__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class ScenarioParams(_Record):
     """Physical and statistical configuration of one detection scenario.
 
     k      source separation in units of the PSF width, >= 0
@@ -118,26 +148,30 @@ class ScenarioParams:
     c      effective_coherence(gamma, theta), likewise
     """
 
-    k: float
-    gamma: float
-    theta: float = 0.0
-    p: float = 0.5
-    delta: float = field(init=False, repr=False, compare=False)
-    c: float = field(init=False, repr=False, compare=False)
+    __slots__ = ("k", "gamma", "theta", "p", "delta", "c")
+    _fields = ("k", "gamma", "theta", "p")
 
-    def __post_init__(self) -> None:
+    def __init__(self, k: float, gamma: float, theta: float = 0.0, p: float = 0.5) -> None:
         # One check per input; with several bad inputs, the first one here names the error.
-        _require_prior(self.p)
-        _require_phase(self.theta)
-        _require_separation(self.k)
-        _require_gamma(self.gamma)
-        theta = self.theta % _TWO_PI
-        delta = math.exp(-0.125 * self.k * self.k)
-        c = self.gamma * math.cos(theta)
+        _require_prior(p)
+        _require_phase(theta)
+        _require_separation(k)
+        _require_gamma(gamma)
+        theta %= _TWO_PI
+        delta = math.exp(-0.125 * k * k)
+        c = gamma * math.cos(theta)
         _require_normalizable(delta, c)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "c", c)
+        _set_k(self, k)
+        _set_gamma(self, gamma)
+        _set_theta(self, theta)
+        _set_p(self, p)
+        _set_delta(self, delta)
+        _set_c(self, c)
+
+
+# The slots' own setters, which skip the class's __setattr__ that refuses assignment.
+_set_k, _set_gamma, _set_theta, _set_p, _set_delta, _set_c = (
+    getattr(ScenarioParams, name).__set__ for name in ScenarioParams.__slots__)
 
 
 class Observable2(NamedTuple):

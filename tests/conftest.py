@@ -50,11 +50,18 @@ def linspace(lo, hi, n):
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_python(*args, timeout=120):
-    """A fresh interpreter with the package in src/ on its path."""
+def python_env():
+    """The environment of a fresh interpreter with the package in src/ on its path."""
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    return env
+
+
+def run_python(*args, timeout=120, stdout=subprocess.PIPE):
+    """A fresh interpreter with the package in src/ on its path; stdout is
+    captured unless a file is given."""
     return subprocess.run(
-        [sys.executable, *args], env=env, cwd=ROOT, capture_output=True, text=True, timeout=timeout
+        [sys.executable, *args], env=python_env(), cwd=ROOT, stdout=stdout,
+        stderr=subprocess.PIPE, text=True, timeout=timeout,
     )

@@ -3,14 +3,17 @@ import importlib
 import io
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import run_python
+from conftest import ROOT, python_env, run_python
 
 import cohdet
+import cohdet.cli
 from cohdet.cli import main
 from cohdet.kernel import BoundReport
 
@@ -163,6 +166,49 @@ class TestSweepCommands:
         )
         assert code == 4
 
+    def test_unwritable_output_exits_4_before_computing(self, capsys, tmp_path, monkeypatch):
+        started = []
+
+        def stream(spec, as_json):
+            started.append(spec)
+            yield "never written"
+
+        monkeypatch.setattr(cohdet.cli, "stream_sweep", stream)
+        target = tmp_path / "missing" / "map.csv"
+        code, out, err = run_cli(
+            capsys, "advantage-map", "--k-range", "0:1:2", "--p-range", "0:1:2", "--output", str(target))
+        assert (code, out) == (4, "")
+        assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+        assert started == [] and not target.exists()  # the stream was made, never run
+
+    def test_bad_range_with_output_exits_2_and_writes_nothing(self, capsys, tmp_path):
+        target = tmp_path / "map.csv"
+        code, out, err = run_cli(
+            capsys, "advantage-map", "--k-range", "0:1:1", "--p-range", "0:1:2", "--output", str(target))
+        assert (code, out) == (2, "")
+        assert err == "error: k_steps must be >= 2 for a true interval, got 1\n"
+        assert not target.exists()
+
+    def test_write_error_mid_stream_exits_4_and_keeps_partial_file(self, tmp_path):
+        # A file size limit makes the write fail after the first 64 KiB.
+        target = tmp_path / "map.csv"
+        argv = ["advantage-map", "--k-range", "0:5:101", "--p-range", "0:1:101", "--output", str(target)]
+        code = (
+            "import resource, signal, sys\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (65536, 65536))\n"
+            "from cohdet.cli import main\n"
+            f"sys.exit(main({argv!r}))\n"
+        )
+        result = run_python("-c", code)
+        assert result.returncode == 4, result.stderr
+        assert result.stderr.startswith(f"error: cannot write {target}: [Errno 27] ")
+        assert result.stderr.count("\n") == 1 and result.stdout == ""
+        complete = run_python("-c", ENTRY, *argv[:-2]).stdout
+        partial = target.read_text(encoding="utf-8")
+        assert 0 < len(partial) <= 65536 < len(complete)
+        assert complete.startswith(partial)
+
     def test_spade_rows_per_separation(self, capsys):
         code, out, err = run_cli(
             capsys, "spade", "--k-range", "0:5:6", "--gamma", "0.9", "--theta-pi", "1"
@@ -203,6 +249,35 @@ class TestSweepCommands:
         payload = json.loads(out)
         assert payload[0]["a_d"] == pytest.approx(1.46211716, abs=1e-6)
         assert payload[0]["a_qod"] == pytest.approx(1.65983382, abs=1e-6)
+
+
+class TestStdoutErrors:
+    """A stdout that cannot be written exits 4 with one error line, from every
+    subcommand, and nothing more is printed at shutdown."""
+
+    @pytest.mark.parametrize("argv", [
+        ("bound", "--k", "1", "--format", "json"),
+        ("spade", "--k-range", "0:5:11"),
+        ("advantage-map", "--k-range", "0:5:101", "--p-range", "0:1:101", "--format", "json"),
+        ("verify", "--grid-points", "1001"),
+    ])
+    def test_full_device_exits_4(self, argv):
+        with open("/dev/full", "w") as full:
+            result = run_python("-c", ENTRY, *argv, stdout=full)
+        assert result.returncode == 4
+        assert result.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
+
+    def test_reader_closing_early_exits_4(self):
+        process = subprocess.Popen(
+            [sys.executable, "-c", ENTRY, "advantage-map", "--k-range", "0:5:201", "--p-range", "0:1:201"],
+            env=python_env(), cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        assert process.stdout.readline().startswith("k,p,gamma")
+        process.stdout.close()
+        err = process.stderr.read()
+        process.stderr.close()
+        assert process.wait(timeout=120) == 4
+        assert err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
 
 
 class TestSimulate:
@@ -340,6 +415,28 @@ class TestStartup:
         result = run_python("-c", code)
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "0 False"
+
+    def test_cli_import_skips_dataclasses(self):
+        code = "import sys, cohdet.cli\nprint(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        result = run_python("-c", code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
+
+    def test_map_memory_does_not_grow_with_the_grid(self):
+        # Peak RSS of a fresh process that writes a map to /dev/null, in KiB (Linux).
+        def peak(steps):
+            code = (
+                "import resource, sys\n"
+                "from cohdet.cli import main\n"
+                f"code = main(['advantage-map', '--k-range', '0:5:{steps}', '--p-range', '0:1:{steps}'])\n"
+                "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+            )
+            result = run_python("-c", code, stdout=subprocess.DEVNULL)
+            code, kib = map(int, result.stderr.split())
+            assert code == 0
+            return kib
+
+        assert peak(301) - peak(101) < 10 * 1024
 
     def test_every_public_name_resolves(self):
         assert set(cohdet.__all__) == self.NAMES

@@ -21,7 +21,7 @@ from cohdet import (
     spade_error,
     sweep_rows,
 )
-from cohdet.sweeps import _MEMO_SIZE, SweepRow, format_sig
+from cohdet.sweeps import _MEMO_SIZE, SweepRow, format_sig, stream_sweep
 
 COLUMNS = CSV_HEADER.split(",")
 
@@ -51,6 +51,34 @@ class TestFormatSig:
         for exp in range(-12, 10):
             token = format_sig(3.14159 * 10.0**exp)
             assert "e" not in token and "E" not in token
+
+    @pytest.mark.parametrize(
+        "value,digits",
+        [
+            (1e-314, "100000000"),  # 9.99999999984653e-315 rounds up into the next decade
+            (1.000000003e-315, "100000000"),
+            (-1e-314, "100000000"),
+            (5e-324, "494065646"),
+            (2.2250738585072009e-308, "222507386"),  # the largest subnormal
+            (2.2250738585072014e-308, "222507386"),  # the smallest normal
+        ],
+    )
+    def test_subnormals_keep_nine_digits(self, value, digits):
+        token = format_sig(value)
+        mantissa, exponent = f"{value:.8e}".split("e")
+        assert token.lstrip("-0.") == digits == mantissa.lstrip("-").replace(".", "")
+        assert float(token) == float(f"{value:.8e}")
+        assert token.startswith("-") is (value < 0)
+        # The last printed digit sits 8 decades below the leading one.
+        assert len(token.split(".")[1]) == 8 - int(exponent)
+
+    @given(st.integers(1, 2**52 - 1), st.booleans())
+    def test_every_subnormal_prints_its_nine_digit_rounding(self, bits, negative):
+        value = math.ldexp(bits, -1074) * (-1.0 if negative else 1.0)
+        mantissa, exponent = f"{value:.8e}".split("e")
+        token = format_sig(value)
+        assert token.lstrip("-0.") == mantissa.lstrip("-").replace(".", "")
+        assert len(token.split(".")[1]) == 8 - int(exponent)
 
 
 class TestSweepSpec:
@@ -217,12 +245,23 @@ class TestFastPath:
     @given(sweep_specs())
     @example(SweepSpec(0.0, 1e-3, 3, 0.0, 1.0, 7, gamma=1.0, theta=math.pi))
     @example(SweepSpec(10.0, 12.0, 3, 1e-300, 1e-300, 1, gamma=0.4, theta=1.0))
+    @example(SweepSpec(0.5, 4.0, 5, 0.3, 0.3, 1, gamma=0.9, theta=math.pi))
     def test_rendering_equals_cell_by_cell_format_sig(self, spec):
         rows = sweep_rows(spec)
-        assert render_csv(rows) == _reference_csv(rows)
-        text = render_json(rows)
-        assert text == _reference_json(rows)
+        csv, text = _reference_csv(rows), _reference_json(rows)
+        assert render_csv(rows) == csv
+        assert render_json(rows) == text
         assert len(json.loads(text, parse_constant=_reject_constant)) == len(rows)
+        # The CLI's path: computed and rendered one separation at a time.
+        assert "".join(stream_sweep(spec)) == csv
+        assert "".join(stream_sweep(spec, as_json=True)) == text
+
+    def test_stream_yields_one_chunk_per_separation(self):
+        spec = SweepSpec(0.0, 1.0, 3, 0.0, 1.0, 4, gamma=1.0, theta=math.pi)
+        chunks = list(stream_sweep(spec))
+        assert chunks[0] == CSV_HEADER + "\n" and chunks[-1] == ""
+        assert [chunk.count("\n") for chunk in chunks[1:-1]] == [4, 4, 4]
+        assert chunks[1].endswith(",degenerate\n")  # k = 0 is the singular point here
 
     def test_rendering_outgrows_the_memo(self):
         # Many more distinct values than the memo holds: it starts afresh
