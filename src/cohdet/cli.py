@@ -148,8 +148,13 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     return EXIT_VERIFY
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None) -> None:  # argparse's own drops a failed write
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cohdet",
         description="Decide whether a faint optical scene holds one source or two.",
     )
@@ -202,12 +207,14 @@ def _drop_stdout() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ns = build_parser().parse_args(argv)
     # The one place where a rejected value or a failed stdout becomes an
     # error line and an exit code; `verify` reports its own failures as exit 5.
     try:
-        code = ns.func(ns)
-        sys.stdout.flush()
+        try:
+            ns = build_parser().parse_args(argv)
+            code = ns.func(ns)
+        finally:  # also after --help, where argparse exits
+            sys.stdout.flush()
     except DegenerateScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

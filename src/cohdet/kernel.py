@@ -38,12 +38,6 @@ from typing import NamedTuple
 
 from .errors import DegenerateScenarioError, DomainError
 
-#: Threshold below which 1 + delta*c is treated as singular.
-DEGENERACY_EPS = 1e-12
-
-#: Relative tolerance for classifying an advantage ratio as exactly 1.
-USELESS_RATIO_TOL = 1e-10
-
 _TWO_PI = 2.0 * math.pi
 
 
@@ -81,6 +75,12 @@ def overlap(k: float) -> float:
     return math.exp(-0.125 * k * k)
 
 
+def _separation_terms(k: float) -> tuple[float, float]:
+    """delta = overlap(k) and dm = 1 - delta, each to a rounding, for a checked k."""
+    x = -0.125 * k * k
+    return math.exp(x), -math.expm1(x)
+
+
 def effective_coherence(gamma: float, theta: float) -> float:
     """Collapse coherence strength and phase into the single factor
     c = gamma*cos(theta); every downstream formula depends on the pair
@@ -90,19 +90,12 @@ def effective_coherence(gamma: float, theta: float) -> float:
     return gamma * math.cos(theta)
 
 
-def _require_admissible(delta: float, c: float) -> None:
-    """Validate an (overlap, effective coherence) pair, rejecting the singular point delta*c = -1."""
+def _admissible_pair(delta: float, c: float) -> tuple:
+    """`_pair_terms` of a public (delta, c) pair after its checks, exact at the
+    given doubles: dm = 1 - delta is exact wherever delta >= 1/2."""
     _require_overlap(delta)
     _require_effective_coherence(c)
-    _require_normalizable(delta, c)
-
-
-def _require_normalizable(delta: float, c: float) -> None:
-    """Reject the singular point of a pair already known to lie in range."""
-    if 1.0 + delta * c <= DEGENERACY_EPS:
-        raise DegenerateScenarioError(
-            f"1 + delta*c = {1.0 + delta * c:.3e}: the two-source state is not normalizable"
-        )
+    return _pair_terms(delta, 1.0 - delta, c)
 
 
 class _Record:
@@ -146,9 +139,10 @@ class ScenarioParams(_Record):
     p      prior probability that the second source exists, in [0, 1]
     delta  overlap(k), computed at construction; not part of repr, == or hash
     c      effective_coherence(gamma, theta), likewise
+    _pair  `_pair_terms` of (delta, 1 - delta from k, c), likewise
     """
 
-    __slots__ = ("k", "gamma", "theta", "p", "delta", "c")
+    __slots__ = ("k", "gamma", "theta", "p", "delta", "c", "_pair")
     _fields = ("k", "gamma", "theta", "p")
 
     def __init__(self, k: float, gamma: float, theta: float = 0.0, p: float = 0.5) -> None:
@@ -158,19 +152,20 @@ class ScenarioParams(_Record):
         _require_separation(k)
         _require_gamma(gamma)
         theta %= _TWO_PI
-        delta = math.exp(-0.125 * k * k)
+        delta, dm = _separation_terms(k)
         c = gamma * math.cos(theta)
-        _require_normalizable(delta, c)
+        pair = _pair_terms(delta, dm, c)
         _set_k(self, k)
         _set_gamma(self, gamma)
         _set_theta(self, theta)
         _set_p(self, p)
         _set_delta(self, delta)
         _set_c(self, c)
+        _set_pair(self, pair)
 
 
 # The slots' own setters, which skip the class's __setattr__ that refuses assignment.
-_set_k, _set_gamma, _set_theta, _set_p, _set_delta, _set_c = (
+_set_k, _set_gamma, _set_theta, _set_p, _set_delta, _set_c, _set_pair = (
     getattr(ScenarioParams, name).__set__ for name in ScenarioParams.__slots__)
 
 
@@ -197,22 +192,28 @@ class Observable2(NamedTuple):
 
 def normalization(delta: float, c: float) -> float:
     """Trace-restoring factor N = 1/(2*(1 + delta*c)) of the two-source state."""
-    _require_admissible(delta, c)
-    return _pair_terms(delta, c)[0]
+    return _admissible_pair(delta, c)[0]
 
 
-def _pair_terms(delta: float, c: float) -> tuple[float, float, float, float, float]:
-    """First half of the evaluation kernel, for an admissible (delta, c)
-    that it does not validate again: N, rho_2's entries r11, r12, r22 and
-    the mode sorter's Gaussian-mode click probability q.  q's numerator
-    equals (delta + c)**2 + 1 - c**2, so only rounding needs its clamp."""
-    one_plus_dc = 1.0 + delta * c
-    n = 0.5 / one_plus_dc
-    one_minus_d2 = 1.0 - delta * delta
-    diagonal = 1.0 + delta * delta + 2.0 * delta * c
-    off = (delta + c) * math.sqrt(max(one_minus_d2, 0.0))
-    q = min(1.0, max(0.0, diagonal / (2.0 * one_plus_dc)))
-    return n, n * diagonal, n * off, n * one_minus_d2, q
+def _pair_terms(delta: float, dm: float, c: float) -> tuple[float, float, float, float, float, float]:
+    """First half of the evaluation kernel, for (delta, dm = 1 - delta, c) in
+    range, which it does not validate again: N, rho_2's entries r11 (the
+    sorter's Gaussian-mode click probability), r12, r22, N*(1 - c**2) and
+    p* = 1/(1 + N*(1 - c**2)).  No small factor cancels: with 1 + c from the
+    rounded c, 1 + delta*c = (1 + c) - c*dm, 1 - delta**2 = dm*(1 + delta) and
+    1 + delta**2 + 2*delta*c = dm**2 + 2*delta*(1 + c); ratios to 1 + delta*c
+    come first, so none overflows where N does.  The one singular pair, where
+    1 + delta*c = 0, is delta = 1 and c = -1."""
+    one_plus_c = 1.0 + c
+    one_plus_dc = one_plus_c - c * dm
+    if one_plus_dc == 0.0:
+        raise DegenerateScenarioError("1 + delta*c = 0.000e+00: the two-source state is not normalizable")
+    dm_ratio = dm / one_plus_dc
+    n_1mc2 = 0.5 * (1.0 - c) * one_plus_c / one_plus_dc
+    r11 = 0.5 * dm * dm_ratio + delta * (one_plus_c / one_plus_dc)
+    r12 = 0.5 * ((one_plus_c - dm) / one_plus_dc) * math.sqrt(dm * (1.0 + delta))
+    r22 = dm_ratio * (0.5 * (1.0 + delta))
+    return 0.5 / one_plus_dc, r11, r12, r22, n_1mc2, 1.0 / (1.0 + n_1mc2)
 
 
 def rho1() -> Observable2:
@@ -230,8 +231,7 @@ def rho2(delta: float, c: float) -> Observable2:
 
     At delta = 1 the sources coincide and rho_2 collapses onto rho_1 exactly.
     """
-    _require_admissible(delta, c)
-    return Observable2(*_pair_terms(delta, c)[1:4])
+    return Observable2(*_admissible_pair(delta, c)[1:4])
 
 
 def lambda_matrix(params: ScenarioParams) -> Observable2:
@@ -255,42 +255,43 @@ def eigenvalues_sym2(m: Observable2) -> tuple[float, float]:
     return half_trace - radius, half_trace + radius
 
 
-def _prior_terms(pair: tuple[float, float, float, float, float], p: float) -> tuple:
+def _prior_terms(pair: tuple[float, float, float, float, float, float], p: float) -> tuple:
     """Second half of the evaluation kernel: from `_pair_terms`'s output and
     a prior p, the record (a11, a12, a22, eig_low, eig_high, o_err, d_err,
-    a_qod, p_err_spade, a_d, useless).  The first three are the entries of
-    p*rho_2 - (1-p)*rho_1 and the next two its ascending eigenvalues.
+    a_qod, p_err_spade, a_d, useless): the entries of Lambda = p*rho_2 -
+    (1-p)*rho_1, its ascending eigenvalues, and the rest.
 
-    o_err is clamped into [0, 1/2] so that floating-point noise can never
-    make the optimum look worse than guessing.  At a deterministic prior
-    both errors vanish analytically, so o_err is set to 0 there rather than
-    the ~1e-16 residue rounding can leave, and a_qod is 1; a_d is 1 at p = 0.
+    det(Lambda) = p*r22*(p*N*(1 - c**2) - (1 - p)) = p*r22*(p - p*)*(1 + N*(1 - c**2)),
+    so useless, det >= 0, reads p >= p* wherever p > 0 and r22 > 0; there o_err =
+    d_err and a_qod = 1.  Elsewhere, with r the eigenvalue radius,
+    o_err = (1 - 2r)/2 = 2p*((1 - p)*r11 + p*r22*N*(1 - c**2))/(1 + 2r).  The
+    advantages are ratios to p, finite where the errors underflow; a_d(0) = 1.
     """
-    _, r11, r12, r22, q = pair
+    _, r11, r12, r22, n_1mc2, p_star = pair
     a11 = p * r11 - (1.0 - p)
     a12 = p * r12
     a22 = p * r22
-    half_trace = 0.5 * (a11 + a22)
+    half_trace = p - 0.5
     radius = math.hypot(0.5 * (a11 - a22), a12)
-    low, high = half_trace - radius, half_trace + radius
+    det = a22 * (p - p_star) * (1.0 + n_1mc2)
+    # The eigenvalue of larger magnitude, then the other as det over it (0 where Lambda is 0).
+    larger = half_trace + math.copysign(radius, half_trace)
+    other = det / larger if larger else 0.0
+    low, high = (larger, other) if half_trace < 0.0 else (other, larger)
     d_err = min(p, 1.0 - p)
-    if d_err == 0.0:
-        o_err, a_qod = 0.0, 1.0
+    useless = det >= 0.0
+    if useless:
+        o_err, a_qod = d_err, 1.0
     else:
-        o_err = min(0.5, max(0.0, 0.5 * (1.0 - (abs(low) + abs(high)))))
-        a_qod = d_err / o_err if o_err > 0.0 else math.inf
-    p_err = p * q
-    if p_err == 0.0:
-        a_d = 1.0 if d_err == 0.0 else math.inf
-    else:
-        a_d = d_err / p_err
-    useless = math.isfinite(a_qod) and abs(a_qod - 1.0) <= USELESS_RATIO_TOL
-    return a11, a12, a22, low, high, o_err, d_err, a_qod, p_err, a_d, useless
+        o_err_per_p = 2.0 * ((1.0 - p) * r11 + a22 * n_1mc2) / (1.0 + 2.0 * radius)
+        o_err, a_qod = p * o_err_per_p, d_err / p / o_err_per_p
+    a_d = d_err / p / r11 if p else 1.0
+    return a11, a12, a22, low, high, o_err, d_err, a_qod, p * r11, a_d, useless
 
 
 def _evaluate(params: ScenarioParams) -> tuple:
     """`_prior_terms`'s record of one scenario."""
-    return _prior_terms(_pair_terms(params.delta, params.c), params.p)
+    return _prior_terms(params._pair, params.p)
 
 
 def helstrom_bound(params: ScenarioParams) -> float:
@@ -304,28 +305,17 @@ def qod_advantage(params: ScenarioParams) -> float:
 
 
 def useless_boundary(delta: float, c: float) -> float:
-    """Prior above which no measurement beats deciding from the prior alone.
-
-    Derived from the leading principal minors of the weighted difference
-    operator: above (2 + 2*delta*c) / (3 + 2*delta*c - c**2) both of its
-    eigenvalues are nonnegative.  The value always lies in (1/2, 1].
-    """
-    _require_admissible(delta, c)
-    return _p_star(delta, c)
-
-
-def _p_star(delta: float, c: float) -> float:
-    """`useless_boundary` for an admissible (delta, c), not validated again."""
-    return (2.0 + 2.0 * delta * c) / (3.0 + 2.0 * delta * c - c * c)
+    """Prior p* = (2 + 2*delta*c) / (3 + 2*delta*c - c**2), in (1/2, 1], at and
+    above which no measurement beats deciding from the prior alone."""
+    return _admissible_pair(delta, c)[5]
 
 
 class BoundReport(NamedTuple):
     """Everything `cohdet bound` prints after the scenario, in its order:
     the overlap delta, the normalization N, the entries and ascending
-    eigenvalues of p*rho_2 - (1-p)*rho_1, o_err, d_err, a_qod (1 when both
-    errors vanish), the closed-form `useless_boundary` p_star, and useless,
-    True when a_qod equals 1 within USELESS_RATIO_TOL: the package's one
-    definition of "measuring is useless"."""
+    eigenvalues of Lambda = p*rho_2 - (1-p)*rho_1, o_err, d_err, a_qod,
+    `useless_boundary` p_star, and useless, True when det(Lambda) >= 0: the one
+    definition of "measuring is useless", p >= p_star wherever k > 0 and p > 0."""
 
     delta: float
     normalization: float
@@ -343,10 +333,9 @@ class BoundReport(NamedTuple):
 
 def bound_report(params: ScenarioParams) -> BoundReport:
     """The whole report of one scenario from one pass through the kernel."""
-    delta, c = params.delta, params.c
-    pair = _pair_terms(delta, c)
+    pair = params._pair
     record = _prior_terms(pair, params.p)
-    return BoundReport(delta, pair[0], *record[:8], _p_star(delta, c), record[10])
+    return BoundReport(params.delta, pair[0], *record[:8], pair[5], record[10])
 
 
 def spade_error(delta: float, c: float, p: float) -> float:
@@ -357,8 +346,7 @@ def spade_error(delta: float, c: float, p: float) -> float:
     Gaussian mode.
     """
     _require_prior(p)
-    _require_admissible(delta, c)
-    return _prior_terms(_pair_terms(delta, c), p)[8]
+    return _prior_terms(_admissible_pair(delta, c), p)[8]
 
 
 def spade_advantage(params: ScenarioParams) -> float:

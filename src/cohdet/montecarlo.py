@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .kernel import ScenarioParams, _pair_terms, _require_count
+from .kernel import ScenarioParams, _require_count
 
 #: Trials per RNG shard; each shard owns an independent substream.
 SHARD_SIZE = 1 << 20
@@ -95,8 +95,8 @@ def run_simulation(config: TrialConfig) -> EmpiricalResult:
             ) from exc
         n_attempts = config.n_photons + int(failures)
 
-    # The mode sorter's miss probability; the pair was checked with params.
-    q = _pair_terms(params.delta, params.c)[4]
+    # The mode sorter's miss probability, r11 of the scenario's pair.
+    q = params._pair[1]
 
     n_errors = 0
     remaining = config.n_photons

@@ -23,10 +23,9 @@ import numpy as np
 
 from .errors import DomainError, GridAccuracyError
 from .kernel import (
-    Observable2, ScenarioParams, _pair_terms, _prior_terms, _require_admissible, _require_count,
-    _require_effective_coherence, _require_normalizable, _require_prior, _require_separation,
+    Observable2, ScenarioParams, _pair_terms, _prior_terms, _require_count,
+    _require_effective_coherence, _require_prior, _require_separation, _separation_terms,
 )
-from .kernel import overlap as closed_overlap
 
 #: The agreement between grid space and closed form that `verify` promises,
 #: and the accuracy every grid state must meet.
@@ -121,8 +120,8 @@ def _inner(grid: SpatialGrid, a: np.ndarray, b: np.ndarray) -> float:
 
 
 #: The sources at 0 and k sampled on `grid`, their quadrature overlap, their
-#: orthonormalized basis and psi0's components in it.
-_Sample = namedtuple("_Sample", "grid psi0 psis overlap basis proj0")
+#: orthonormalized basis, psi0's components in it, and the kernel's delta and dm.
+_Sample = namedtuple("_Sample", "grid psi0 psis overlap basis proj0 delta dm")
 
 
 def _sample(k: float, grid: SpatialGrid | None) -> _Sample:
@@ -140,16 +139,20 @@ def _sample(k: float, grid: SpatialGrid | None) -> _Sample:
     norm = math.sqrt(_inner(grid, w, w))
     basis = [e0] if norm < _COLINEAR_EPS else [e0, w / norm]
     proj0 = np.array([_inner(grid, psi0, e) for e in basis])
-    return _Sample(grid, psi0, psis, _inner(grid, psi0, psis), basis, proj0)
+    return _Sample(grid, psi0, psis, _inner(grid, psi0, psis), basis, proj0, *_separation_terms(k))
 
 
 def _project(sample: _Sample, c: float) -> list[list[float]]:
     """Per-(k, c) stage: N*(|psi0><psi0| + |psis><psis| + c*(|psi0><psis| +
     |psis><psi0|)) as the 1x1 or 2x2 matrix of its inner products with the
-    basis."""
+    basis.  Singular is the kernel's rule on (k, c); next to that point the
+    quadrature's own 1 + delta*c can round to 0, a fault of the grid."""
     grid, psi0, psis, basis = sample.grid, sample.psi0, sample.psis, sample.basis
-    _require_normalizable(sample.overlap, c)
-    norm = 0.5 / (1.0 + c * sample.overlap)
+    _pair_terms(sample.delta, sample.dm, c)  # the kernel's check of the singular point
+    one_plus_dc = 1.0 + c * sample.overlap
+    if not one_plus_dc > 0.0:
+        raise GridAccuracyError(f"quadrature puts 1 + delta*c at {one_plus_dc!r}, not above 0")
+    norm = 0.5 / one_plus_dc
     op = []
     for e in basis:
         a0, a_s = _inner(grid, psi0, e), _inner(grid, psis, e)
@@ -196,9 +199,12 @@ def grid_rho2(k: float, c: float, grid: SpatialGrid | None = None) -> Observable
 
 
 def grid_helstrom(params: ScenarioParams, grid: SpatialGrid | None = None) -> float:
-    """Minimum error probability recomputed entirely in grid space."""
+    """Minimum error probability recomputed entirely in grid space, from a
+    state that passes `_density`'s checks."""
     sample = _sample(params.k, grid)
-    return _decide(_project(sample, params.c), sample.proj0, params.p)
+    projection = _project(sample, params.c)
+    _density(projection)
+    return _decide(projection, sample.proj0, params.p)
 
 
 class VerificationReport(NamedTuple):
@@ -238,13 +244,12 @@ def equivalence_report(
     worst_helstrom = 0.0
     for k in k_values:
         grid = SpatialGrid.for_separation(k, n_points)
-        delta = closed_overlap(k)
         sample = _sample(k, grid)
-        worst_overlap = max(worst_overlap, abs(sample.overlap - delta))
+        worst_overlap = max(worst_overlap, abs(sample.overlap - sample.delta))
         for c in c_values:
-            _require_admissible(delta, c)
-            pair = _pair_terms(delta, c)
+            _require_effective_coherence(c)
             projection = _project(sample, c)
+            pair = _pair_terms(sample.delta, sample.dm, c)
             reconstructed = zip(_density(projection), pair[1:4])
             worst_rho2 = max(worst_rho2, *(abs(got - want) for got, want in reconstructed))
             for p in p_values:

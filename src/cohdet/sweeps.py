@@ -22,8 +22,8 @@ from typing import NamedTuple
 
 from .errors import DegenerateScenarioError, DomainError
 from .kernel import (
-    _TWO_PI, _pair_terms, _prior_terms, _Record, _require_count, _require_gamma,
-    _require_normalizable, _require_phase, effective_coherence, overlap,
+    _TWO_PI, _pair_terms, _prior_terms, _Record, _require_count, _require_gamma, _require_phase,
+    _separation_terms, effective_coherence,
 )
 
 CSV_HEADER = "k,p,gamma,theta,delta,o_err,d_err,a_qod,p_err_spade,a_d,useless"
@@ -160,13 +160,12 @@ def _blocks(spec: SweepSpec) -> Iterator[tuple]:
     c = effective_coherence(gamma, theta % _TWO_PI)
     ps = spec.p_values()
     for k in spec.k_values():
-        delta = overlap(k)
+        delta, dm = _separation_terms(k)
         try:
-            _require_normalizable(delta, c)
+            pair = _pair_terms(delta, dm, c)
         except DegenerateScenarioError:
             yield k, gamma, theta, None, ps, None
             continue
-        pair = _pair_terms(delta, c)
         yield k, gamma, theta, delta, ps, [_prior_terms(pair, p) for p in ps]
 
 

@@ -75,22 +75,21 @@ class TestBound:
         assert "Traceback" not in result.stderr
         assert "o_err = " in result.stdout
 
+    # At k = 1e-160 next to delta*c = -1, 1 + delta*c = k**2/8 is subnormal:
+    # the exact N (4e320) and a_qod (3e321) exceed the largest double.
+    NON_FINITE = ("bound", "--k", "1e-160", "--gamma", "1", "--theta-pi", "1")
+
     def test_json_prints_non_finite_as_null(self, capsys):
-        code, out, err = run_cli(
-            capsys, "bound", "--k", "1", "--gamma", "0.4", "--theta", "1", "--p", "1e-300",
-            "--format", "json",
-        )
+        code, out, err = run_cli(capsys, *self.NON_FINITE, "--format", "json")
         assert code == 0
         record = strict_json(out)
-        assert record["o_err"] == 0.0 and record["a_qod"] is None
+        assert record["normalization"] is None and record["a_qod"] is None
         assert record["useless"] is False
 
     def test_text_keeps_inf(self, capsys):
-        code, out, err = run_cli(
-            capsys, "bound", "--k", "1", "--gamma", "0.4", "--theta", "1", "--p", "1e-300"
-        )
+        code, out, err = run_cli(capsys, *self.NON_FINITE)
         assert code == 0
-        assert "a_qod = inf\n" in out
+        assert "normalization = inf\n" in out and "a_qod = inf\n" in out
 
     def test_degenerate_scenario_exits_3(self, capsys):
         code, out, err = run_cli(capsys, "bound", "--k", "0", "--gamma", "1", "--theta-pi", "1")
@@ -256,6 +255,8 @@ class TestStdoutErrors:
     subcommand, and nothing more is printed at shutdown."""
 
     @pytest.mark.parametrize("argv", [
+        ("--help",),
+        ("bound", "--help"),
         ("bound", "--k", "1", "--format", "json"),
         ("spade", "--k-range", "0:5:11"),
         ("advantage-map", "--k-range", "0:5:101", "--p-range", "0:1:101", "--format", "json"),

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import admissible_delta_c, finite_floats, scenario_params
@@ -104,8 +104,10 @@ class TestNormalization:
         assert rho2(DELTA_K2, 0.45).trace() == pytest.approx(1.0, abs=1e-12)
 
     def test_singular_point_raises(self):
+        # Only delta*c = -1 itself is singular; next to it N is exact at the doubles.
         with pytest.raises(DegenerateScenarioError):
-            normalization(1.0, -0.999999999999999)
+            normalization(1.0, -1.0)
+        assert normalization(1.0, -0.999999999999999) == 0.5 / (1.0 - 0.999999999999999)
 
     @pytest.mark.parametrize("delta,c", [(1.5, 0.0), (-0.1, 0.0), (0.5, 2.0), (math.nan, 0.0)])
     def test_rejects_out_of_domain(self, delta, c):
@@ -138,6 +140,8 @@ class TestStates:
         assert r.a22 == pytest.approx(RHO2_K2_C0[2], abs=1e-6)
 
     @given(admissible_delta_c())
+    # Next to delta*c = -1, where 1 + delta*c, 1 - delta**2 and r11 are all small.
+    @example((0.9999992312711925, -0.9999997156387034))
     def test_rho2_unit_trace_and_psd(self, delta_c):
         delta, c = delta_c
         r = rho2(delta, c)
@@ -150,7 +154,7 @@ class TestStates:
         # rho2 returns the kernel's entries as they are; how close they come
         # to unit trace next to 1 + delta*c = 0 is the kernel's accuracy.
         delta = overlap(k)
-        assert tuple(rho2(delta, -1.0)) == _pair_terms(delta, -1.0)[1:4]
+        assert tuple(rho2(delta, -1.0)) == _pair_terms(delta, 1.0 - delta, -1.0)[1:4]
 
 
 class TestLambdaMatrix:

@@ -18,9 +18,9 @@ from cohdet import (
     render_csv,
     render_json,
     spade_advantage,
-    spade_error,
     sweep_rows,
 )
+from cohdet.kernel import _evaluate
 from cohdet.sweeps import _MEMO_SIZE, SweepRow, format_sig, stream_sweep
 
 COLUMNS = CSV_HEADER.split(",")
@@ -238,7 +238,7 @@ class TestFastPath:
             assert row == SweepRow(
                 row.k, row.p, spec.gamma, spec.theta, params.delta,
                 report.o_err, report.d_err, report.a_qod,
-                spade_error(params.delta, params.c, row.p), spade_advantage(params),
+                _evaluate(params)[8], spade_advantage(params),
                 report.useless, False,
             )
 
@@ -273,8 +273,9 @@ class TestFastPath:
         assert render_json(rows) == _reference_json(rows)
 
     def test_json_prints_non_finite_as_null(self):
-        # At a prior this small o_err underflows to 0, so a_qod is infinite.
-        rows = sweep_rows(SweepSpec(1.0, 1.0, 1, 1e-300, 1e-300, 1, gamma=0.4, theta=1.0))
+        # At k = 1e-160 next to delta*c = -1, 1 + delta*c = k**2/8 is subnormal
+        # and the exact a_qod, about 3e321, exceeds the largest double.
+        rows = sweep_rows(SweepSpec(1e-160, 1e-160, 1, 0.5, 0.5, 1, gamma=1.0, theta=math.pi))
         assert rows[0].a_qod == math.inf
         assert render_csv(rows).split("\n")[1].split(",")[7] == "inf"
         assert json.loads(render_json(rows), parse_constant=_reject_constant)[0]["a_qod"] is None
