@@ -246,13 +246,26 @@ def lambda_matrix(params: ScenarioParams) -> Observable2:
 def eigenvalues_sym2(m: Observable2) -> tuple[float, float]:
     """Closed-form eigenvalues of a real symmetric 2x2 matrix, ascending.
     The one public function that takes a matrix its caller built, so it
-    checks that the entries are finite."""
+    checks that the entries are finite.  As in `_prior_terms`, the eigenvalue
+    of larger magnitude comes first and the other is det/larger, which does
+    not cancel where it is tiny.  The entries are scaled exactly, by a power
+    of two, into the largest one's binade [1, 2), so no term of det
+    overflows, and none underflows unless an entry is below about 1e-308
+    times the largest."""
     for name, value in zip(m._fields, m):
         if not math.isfinite(value):
             raise DomainError(f"matrix entry {name} must be finite, got {value!r}")
-    half_trace = 0.5 * (m.a11 + m.a22)
-    radius = math.hypot(0.5 * (m.a11 - m.a22), m.a12)
-    return half_trace - radius, half_trace + radius
+    scale = max(abs(m.a11), abs(m.a12), abs(m.a22))
+    if not scale:
+        return 0.0, 0.0
+    exponent = math.frexp(scale)[1] - 1
+    a11, a12, a22 = (math.ldexp(value, -exponent) for value in m)
+    half_trace = 0.5 * (a11 + a22)
+    larger = half_trace + math.copysign(math.hypot(0.5 * (a11 - a22), a12), half_trace)
+    other = (a11 * a22 - a12 * a12) / larger
+    low, high = (larger, other) if larger < 0.0 else (other, larger)
+    unit = math.ldexp(1.0, exponent)  # a product overflows to inf, where ldexp would raise
+    return low * unit, high * unit
 
 
 def _prior_terms(pair: tuple[float, float, float, float, float, float], p: float) -> tuple:

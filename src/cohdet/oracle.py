@@ -145,10 +145,10 @@ def _sample(k: float, grid: SpatialGrid | None) -> _Sample:
 def _project(sample: _Sample, c: float) -> list[list[float]]:
     """Per-(k, c) stage: N*(|psi0><psi0| + |psis><psis| + c*(|psi0><psis| +
     |psis><psi0|)) as the 1x1 or 2x2 matrix of its inner products with the
-    basis.  Singular is the kernel's rule on (k, c); next to that point the
-    quadrature's own 1 + delta*c can round to 0, a fault of the grid."""
+    basis.  The caller has checked the singular point by the kernel's rule,
+    `_pair_terms` at (k, c); next to that point the quadrature's own
+    1 + delta*c can round to 0, a fault of the grid."""
     grid, psi0, psis, basis = sample.grid, sample.psi0, sample.psis, sample.basis
-    _pair_terms(sample.delta, sample.dm, c)  # the kernel's check of the singular point
     one_plus_dc = 1.0 + c * sample.overlap
     if not one_plus_dc > 0.0:
         raise GridAccuracyError(f"quadrature puts 1 + delta*c at {one_plus_dc!r}, not above 0")
@@ -195,12 +195,15 @@ def grid_rho2(k: float, c: float, grid: SpatialGrid | None = None) -> Observable
     """Two-source state rebuilt in grid space and projected onto the
     numerically orthonormalized pair."""
     _require_effective_coherence(c)
-    return _density(_project(_sample(k, grid), c))
+    sample = _sample(k, grid)
+    _pair_terms(sample.delta, sample.dm, c)  # the kernel's check of the singular point
+    return _density(_project(sample, c))
 
 
 def grid_helstrom(params: ScenarioParams, grid: SpatialGrid | None = None) -> float:
     """Minimum error probability recomputed entirely in grid space, from a
-    state that passes `_density`'s checks."""
+    state that passes `_density`'s checks.  Building `params` checked its
+    singular point, with the sample's delta and dm."""
     sample = _sample(params.k, grid)
     projection = _project(sample, params.c)
     _density(projection)
@@ -248,8 +251,8 @@ def equivalence_report(
         worst_overlap = max(worst_overlap, abs(sample.overlap - sample.delta))
         for c in c_values:
             _require_effective_coherence(c)
-            projection = _project(sample, c)
             pair = _pair_terms(sample.delta, sample.dm, c)
+            projection = _project(sample, c)
             reconstructed = zip(_density(projection), pair[1:4])
             worst_rho2 = max(worst_rho2, *(abs(got - want) for got, want in reconstructed))
             for p in p_values:

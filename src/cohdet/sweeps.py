@@ -1,9 +1,10 @@
 """Deterministic parameter sweeps with a stable text representation.
 
 Rows are produced in row-major order (separation outer, prior inner) and
-every number is rendered as a fixed 9-significant-digit decimal without
-exponent notation, so identical sweep specs yield byte-identical output
-suitable for golden-file regression tests.
+every number is rendered by `format_sig`, 9 significant digits as a plain
+decimal without exponent notation (every integer digit from 10**9 up), so
+identical sweep specs yield byte-identical output suitable for golden-file
+regression tests.
 
 `stream_sweep` runs the kernel and renders as it goes, one chunk of text per
 separation, so a sweep of any size writes in the memory of one grid row;
@@ -33,35 +34,45 @@ COLUMNS: tuple[str, ...] = tuple(CSV_HEADER.split(","))
 #: parameter point; their numeric result columns stay empty.
 DEGENERATE_SENTINEL = "degenerate"
 
-_MIN_NORMAL = sys.float_info.min
+_MIN_NORMAL, _MAX_FINITE = sys.float_info.min, sys.float_info.max
+
+#: The format spec of each decade e a normal double can round into: the
+#: decimals that leave 9 significant digits, and none from 10**8 up.
+_SPEC = {e: f".{8 - e}f" if e < 8 else ".0f" for e in range(-308, 310)}
 
 
 def format_sig(x: float) -> str:
-    """Fixed decimal with 9 significant digits and no exponent notation."""
+    """x as a plain decimal with no exponent, rounded half-even from its exact
+    binary value to max(8 - e, 0) decimals, where e is the decade the rounded
+    value falls in: 9 significant digits below 10**9, and from there up x
+    rounded to an integer with every digit printed (4e12 prints as
+    4000000000000).  Zero prints as 0.00000000, and nan and the infinities as
+    nan, inf and -inf."""
+    magnitude = abs(x)
+    if _MIN_NORMAL <= magnitude <= _MAX_FINITE:
+        exponent = math.floor(math.log10(magnitude))
+        text = f"{x:{_SPEC[exponent]}}"
+        # The token sits in the next decade only if its rounding crossed into
+        # it (0.9999999996 -> 1.000000000) or log10 undershot, and the text
+        # alone tells: below 1, the first significant place then holds a 0;
+        # from 1 to 10**8, the unsigned token has 11 characters, not 10; from
+        # 10**8 up, both decades print no decimals.
+        if exponent < 0:
+            if text[1 - exponent + (x < 0.0)] != "0":
+                return text
+        elif exponent >= 8 or len(text) - (x < 0.0) == 10:
+            return text
+        return f"{x:{_SPEC[exponent + 1]}}"
     if math.isnan(x):
         return "nan"
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
-    magnitude = abs(x)
-    if magnitude < _MIN_NORMAL:
-        if x == 0.0:
-            return "0.00000000"
-        # log10 cannot place a subnormal's decade, and a rounded subnormal
-        # does not read back exactly; the exponent of the 9-digit scientific
-        # token is the decade after rounding.
-        exponent = int(f"{x:.8e}".partition("e")[2])
-        return f"{x:.{8 - exponent}f}"
-    exponent = math.floor(math.log10(magnitude))
-    for _ in range(2):
-        decimals = max(8 - exponent, 0)
-        text = f"{x:.{decimals}f}"
-        rounded = abs(float(text))
-        new_exponent = math.floor(math.log10(rounded)) if rounded > 0.0 else exponent
-        if new_exponent == exponent:
-            break
-        # Rounding crossed into the next decade (e.g. 0.9999999996 -> 1.0).
-        exponent = new_exponent
-    return text
+    if x == 0.0:
+        return "0.00000000"
+    # log10 cannot place a subnormal's decade; the exponent of the 9-digit
+    # scientific token is the decade after rounding.
+    exponent = int(f"{x:.8e}".partition("e")[2])
+    return f"{x:.{8 - exponent}f}"
 
 
 #: Tokens a rendering's memo holds before it starts afresh: what a grid repeats

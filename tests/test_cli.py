@@ -418,7 +418,9 @@ class TestStartup:
         assert result.stdout.splitlines()[-1] == "0 False"
 
     def test_cli_import_skips_dataclasses(self):
-        code = "import sys, cohdet.cli\nprint(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        # decimal and fractions too: exact arithmetic belongs to the tests and to lazy fallbacks.
+        skipped = "{'dataclasses', 'decimal', 'fractions', 'inspect'}"
+        code = f"import sys, cohdet.cli\nprint(sorted({skipped} & set(sys.modules)))\n"
         result = run_python("-c", code)
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[]\n"

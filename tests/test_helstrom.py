@@ -67,6 +67,19 @@ class TestEigenvalues:
         assert low + high == pytest.approx(m.trace(), abs=1e-10 * scale)
         assert low * high == pytest.approx(m.det(), abs=1e-10 * scale**2)
 
+    def test_tiny_eigenvalue_does_not_cancel(self):
+        # Lambda = [[-1, -5e-301], [-5e-301, 5e-301]]: half_trace - radius
+        # cancelled the eigenvalue 5e-301 to 0; det/larger keeps it, as the report does.
+        params = ScenarioParams(1e300, 1.0, math.pi, 1e-300)
+        report = bound_report(params)
+        assert eigenvalues_sym2(lambda_matrix(params)) == (report.eig_low, report.eig_high) == (-1.0, 5e-301)
+
+    def test_only_an_eigenvalue_past_the_largest_double_overflows(self):
+        big = sys.float_info.max
+        assert eigenvalues_sym2(Observable2(big, 0.0, -big)) == (-big, big)
+        assert eigenvalues_sym2(Observable2(big, big, big)) == (0.0, math.inf)
+        assert eigenvalues_sym2(Observable2(0.0, 0.0, 0.0)) == (0.0, 0.0)
+
     def test_rejects_nonfinite(self):
         # the one public function that takes a matrix its caller built
         for entries in ((math.inf, 0.0, 0.0), (0.0, math.nan, 0.0), (0.0, 0.0, -math.inf)):
@@ -240,15 +253,17 @@ class TestBoundReport:
     def test_fields_equal_the_step_by_step_api(self, params):
         # The (delta, c) functions take dm = 1 - delta from the rounded delta,
         # and a scenario takes it from k, so the two agree to the rounding of
-        # delta, which 1 + delta*c > 1e-6 magnifies at most 1e6 times; the
-        # report's smaller eigenvalue is det/larger, eigenvalues_sym2's a
-        # difference, which agree to rounding.
+        # delta, which 1 + delta*c > 1e-6 magnifies at most 1e6 times.  Both
+        # eigenvalue routines take the smaller one as det/larger; their half
+        # traces (p - 1/2 against the entries' mean) and dets (factored against
+        # a11*a22 - a12**2) differ by a few roundings of entries at most 1.
         report = bound_report(params)
         lam = lambda_matrix(params)
         assert report.delta == params.delta
         assert report.normalization == pytest.approx(normalization(params.delta, params.c), rel=1e-9)
         assert (report.lambda_11, report.lambda_12, report.lambda_22) == (lam.a11, lam.a12, lam.a22)
-        assert (report.eig_low, report.eig_high) == pytest.approx(eigenvalues_sym2(lam), abs=2e-15)
+        eigenvalues = pytest.approx(eigenvalues_sym2(lam), abs=4 * sys.float_info.epsilon)
+        assert (report.eig_low, report.eig_high) == eigenvalues
         assert report.o_err == helstrom_bound(params)
         assert report.a_qod == qod_advantage(params)
         assert report.p_star == pytest.approx(useless_boundary(params.delta, params.c), rel=1e-9)

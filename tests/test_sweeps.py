@@ -1,5 +1,7 @@
 import json
 import math
+import struct
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 
 import pytest
 from hypothesis import example, given
@@ -25,6 +27,32 @@ from cohdet.sweeps import _MEMO_SIZE, SweepRow, format_sig, stream_sweep
 
 COLUMNS = CSV_HEADER.split(",")
 
+_NINE_DIGITS = Context(prec=9, rounding=ROUND_HALF_EVEN)
+_EXACT = Context(prec=400, rounding=ROUND_HALF_EVEN)  # every digit of a .Nf token of a double
+
+
+def exact_sig(x):
+    """format_sig's rule from the exact binary value of x: the decade e of its
+    9-significant-digit rounding (half-even), then x rounded half-even to
+    max(8 - e, 0) decimals; nan, the infinities and both zeros as format_sig."""
+    if math.isnan(x):
+        return "nan"
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    if x == 0.0:
+        return "0.00000000"
+    exact = Decimal(x)
+    decade = _NINE_DIGITS.plus(exact).adjusted()
+    return format(exact.quantize(Decimal(1).scaleb(-max(8 - decade, 0)), context=_EXACT), "f")
+
+
+def _bits(x):
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _double(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
 
 class TestFormatSig:
     @pytest.mark.parametrize(
@@ -39,6 +67,10 @@ class TestFormatSig:
             (3.726653172e-06, "0.00000372665317"),
             (0.9999999996, "1.00000000"),
             (123456789.123, "123456789"),
+            # From 1e9 up, x rounded half-even to an integer, every digit printed.
+            (999999999.5, "1000000000"),
+            (-123456789012.5, "-123456789012"),
+            (4e12, "4000000000000"),
             (float("inf"), "inf"),
             (float("-inf"), "-inf"),
             (float("nan"), "nan"),
@@ -79,6 +111,31 @@ class TestFormatSig:
         token = format_sig(value)
         assert token.lstrip("-0.") == mantissa.lstrip("-").replace(".", "")
         assert len(token.split(".")[1]) == 8 - int(exponent)
+
+    def test_equals_the_exact_rule_next_to_every_decade_and_rounding_edge(self):
+        # 20 ulps either side of 10**e and of 9.999999995 * 10**(e-1), the
+        # point where a 9-digit rounding crosses into the next decade, for
+        # every decade a double has, both signs: 103576 values (those below
+        # the smallest subnormal fall away).
+        checked, wrong = 0, []
+        for e in range(-323, 309):
+            for anchor in (float(f"1e{e}"), float(f"9.999999995e{e - 1}")):
+                bits = _bits(anchor)
+                for b in range(max(bits - 20, 0), bits + 21):
+                    for x in (_double(b), -_double(b)):
+                        checked += 1
+                        if format_sig(x) != exact_sig(x):
+                            wrong.append(x)
+        assert checked == 103576
+        assert wrong == []
+
+    @given(st.integers(0, 2**64 - 1))
+    @example(0x7FEFFFFFFFFFFFFF)  # the largest double
+    @example(0x0010000000000000)  # the smallest normal
+    @example(0x44B52D02C7E14AF6)  # 1e23, just below 10**23
+    def test_equals_the_exact_rule_on_any_bit_pattern(self, bits):
+        x = _double(bits)
+        assert format_sig(x) == exact_sig(x)
 
 
 class TestSweepSpec:
