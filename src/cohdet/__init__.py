@@ -18,17 +18,13 @@ from .kernel import (
     Observable2,
     ScenarioParams,
     bound_report,
-    eigenvalues_sym2,
     helstrom_bound,
     lambda_matrix,
-    normalization,
     overlap,
     qod_advantage,
-    rho1,
     rho2,
     spade_advantage,
     spade_error,
-    useless_boundary,
 )
 from .sweeps import (
     CSV_HEADER,
@@ -57,8 +53,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CSV_HEADER", "CohdetError", "DegenerateScenarioError", "DomainError", "GridAccuracyError",
     "Observable2", "ScenarioParams", "SpatialGrid", "SweepSpec", "TrialConfig", "bound_report",
-    "eigenvalues_sym2", "equivalence_report", "grid_helstrom", "grid_overlap", "grid_rho2",
-    "helstrom_bound", "lambda_matrix", "normalization", "overlap", "qod_advantage", "render_csv",
-    "render_json", "rho1", "rho2", "run_simulation", "spade_advantage", "spade_error",
-    "sweep_rows", "useless_boundary",
+    "equivalence_report", "grid_helstrom", "grid_overlap", "grid_rho2", "helstrom_bound",
+    "lambda_matrix", "overlap", "qod_advantage", "render_csv", "render_json", "rho2",
+    "run_simulation", "spade_advantage", "spade_error", "sweep_rows",
 ]

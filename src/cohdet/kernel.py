@@ -59,14 +59,16 @@ _require_overlap = _require_in(0.0, 1.0, "overlap delta must lie in [0, 1]")
 _require_effective_coherence = _require_in(-1.0, 1.0, "effective coherence must lie in [-1, 1]")
 
 
-def _require_count(value: int, minimum: int, what: str) -> None:
-    """The check of a count: a whole number >= minimum (an int of any size), or DomainError."""
+def _require_count(value: int, minimum: int, what: str) -> int:
+    """The check of a count: a whole number >= minimum (an int of any size),
+    returned as an int, or DomainError."""
     try:
         whole = int(value) == value
     except (OverflowError, ValueError):  # an infinity or NaN
         whole = False
     if not whole or value < minimum:
         raise DomainError(f"{what}, got {value!r}")
+    return int(value)
 
 
 def overlap(k: float) -> float:
@@ -190,11 +192,6 @@ class Observable2(NamedTuple):
         return self.a11 * self.a22 - self.a12 * self.a12
 
 
-def normalization(delta: float, c: float) -> float:
-    """Trace-restoring factor N = 1/(2*(1 + delta*c)) of the two-source state."""
-    return _admissible_pair(delta, c)[0]
-
-
 def _pair_terms(delta: float, dm: float, c: float) -> tuple[float, float, float, float, float, float]:
     """First half of the evaluation kernel, for (delta, dm = 1 - delta, c) in
     range, which it does not validate again: N, rho_2's entries r11 (the
@@ -214,11 +211,6 @@ def _pair_terms(delta: float, dm: float, c: float) -> tuple[float, float, float,
     r12 = 0.5 * ((one_plus_c - dm) / one_plus_dc) * math.sqrt(dm * (1.0 + delta))
     r22 = dm_ratio * (0.5 * (1.0 + delta))
     return 0.5 / one_plus_dc, r11, r12, r22, n_1mc2, 1.0 / (1.0 + n_1mc2)
-
-
-def rho1() -> Observable2:
-    """Single-source state: a pure projector onto the first basis vector."""
-    return Observable2(1.0, 0.0, 0.0)
 
 
 def rho2(delta: float, c: float) -> Observable2:
@@ -241,31 +233,6 @@ def lambda_matrix(params: ScenarioParams) -> Observable2:
     error probability; its trace is 2p - 1.
     """
     return Observable2(*_evaluate(params)[:3])
-
-
-def eigenvalues_sym2(m: Observable2) -> tuple[float, float]:
-    """Closed-form eigenvalues of a real symmetric 2x2 matrix, ascending.
-    The one public function that takes a matrix its caller built, so it
-    checks that the entries are finite.  As in `_prior_terms`, the eigenvalue
-    of larger magnitude comes first and the other is det/larger, which does
-    not cancel where it is tiny.  The entries are scaled exactly, by a power
-    of two, into the largest one's binade [1, 2), so no term of det
-    overflows, and none underflows unless an entry is below about 1e-308
-    times the largest."""
-    for name, value in zip(m._fields, m):
-        if not math.isfinite(value):
-            raise DomainError(f"matrix entry {name} must be finite, got {value!r}")
-    scale = max(abs(m.a11), abs(m.a12), abs(m.a22))
-    if not scale:
-        return 0.0, 0.0
-    exponent = math.frexp(scale)[1] - 1
-    a11, a12, a22 = (math.ldexp(value, -exponent) for value in m)
-    half_trace = 0.5 * (a11 + a22)
-    larger = half_trace + math.copysign(math.hypot(0.5 * (a11 - a22), a12), half_trace)
-    other = (a11 * a22 - a12 * a12) / larger
-    low, high = (larger, other) if larger < 0.0 else (other, larger)
-    unit = math.ldexp(1.0, exponent)  # a product overflows to inf, where ldexp would raise
-    return low * unit, high * unit
 
 
 def _prior_terms(pair: tuple[float, float, float, float, float, float], p: float) -> tuple:
@@ -317,18 +284,13 @@ def qod_advantage(params: ScenarioParams) -> float:
     return _evaluate(params)[7]
 
 
-def useless_boundary(delta: float, c: float) -> float:
-    """Prior p* = (2 + 2*delta*c) / (3 + 2*delta*c - c**2), in (1/2, 1], at and
-    above which no measurement beats deciding from the prior alone."""
-    return _admissible_pair(delta, c)[5]
-
-
 class BoundReport(NamedTuple):
     """Everything `cohdet bound` prints after the scenario, in its order:
     the overlap delta, the normalization N, the entries and ascending
-    eigenvalues of Lambda = p*rho_2 - (1-p)*rho_1, o_err, d_err, a_qod,
-    `useless_boundary` p_star, and useless, True when det(Lambda) >= 0: the one
-    definition of "measuring is useless", p >= p_star wherever k > 0 and p > 0."""
+    eigenvalues of Lambda = p*rho_2 - (1-p)*rho_1, o_err, d_err, a_qod, the
+    prior p_star = (2 + 2*delta*c) / (3 + 2*delta*c - c**2) in (1/2, 1], and
+    useless, True when det(Lambda) >= 0: the one definition of "measuring is
+    useless", p >= p_star wherever k > 0 and p > 0."""
 
     delta: float
     normalization: float

@@ -39,8 +39,9 @@ class TrialConfig:
     epsilon: float | None = None
 
     def __post_init__(self) -> None:
-        _require_count(self.n_photons, 1, "n_photons must be a positive integer")
-        _require_count(self.seed, 0, "seed must be a nonnegative integer")
+        object.__setattr__(
+            self, "n_photons", _require_count(self.n_photons, 1, "n_photons must be a positive integer"))
+        object.__setattr__(self, "seed", _require_count(self.seed, 0, "seed must be a nonnegative integer"))
         if self.epsilon is not None:
             if not math.isfinite(self.epsilon) or not 0.0 < self.epsilon <= 0.1:
                 raise DomainError(

@@ -53,7 +53,8 @@ class SpatialGrid:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)) or self.x_max <= self.x_min:
             raise DomainError(f"invalid grid window [{self.x_min!r}, {self.x_max!r}]")
-        _require_count(self.n_points, 2, "n_points must be an integer >= 2")
+        object.__setattr__(
+            self, "n_points", _require_count(self.n_points, 2, "n_points must be an integer >= 2"))
 
     @classmethod
     def for_separation(cls, k: float, n_points: int = 4001) -> "SpatialGrid":

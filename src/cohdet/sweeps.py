@@ -75,31 +75,18 @@ def format_sig(x: float) -> str:
     return f"{x:.{8 - exponent}f}"
 
 
-#: Tokens a rendering's memo holds before it starts afresh: what a grid repeats
-#: (axes, d_err, a few k rows' results) in a small, fixed memory footprint.
-_MEMO_SIZE = 4096
-
-
 def formatter(as_json: bool = False) -> Callable[[object], str]:
     """The token function of one rendering (sweep CSV or JSON, `bound`):
-    format_sig, run once per distinct number among the last few thousand,
-    as a grid repeats most of its values; None is an empty cell and a
-    non-finite number stays as it is, except in JSON, which has no token
-    for either and gets null."""
-    memo: dict[float, str] = {}
+    format_sig, where None is an empty cell and a non-finite number stays as
+    it is, except in JSON, which has no token for either and gets null."""
     missing = "null" if as_json else ""
 
     def token(value: object) -> str:
-        if value is None:
-            return missing
         if value is True or value is False:
             return "true" if value else "false"
-        text = memo.get(value)
-        if text is None:
-            if len(memo) >= _MEMO_SIZE:
-                memo.clear()
-            text = memo[value] = missing if as_json and not math.isfinite(value) else format_sig(value)
-        return text
+        if value is None or as_json and not math.isfinite(value):
+            return missing
+        return format_sig(value)
 
     return token
 
@@ -121,10 +108,13 @@ class SweepSpec(_Record):
         self, k_min: float, k_max: float, k_steps: int, p_min: float, p_max: float, p_steps: int,
         gamma: float = 0.0, theta: float = 0.0,
     ) -> None:
+        counts = []
         for name, lo, hi, steps in (("k", k_min, k_max, k_steps), ("p", p_min, p_max, p_steps)):
             if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
                 raise DomainError(f"invalid {name} range [{lo!r}, {hi!r}]")
-            _require_count(steps, 2 if lo < hi else 1, f"{name}_steps must be >= 2 for a true interval")
+            counts.append(_require_count(
+                steps, 2 if lo < hi else 1, f"{name}_steps must be >= 2 for a true interval"))
+        k_steps, p_steps = counts
         if k_min < 0.0:
             raise DomainError(f"k range must be nonnegative, got min {k_min!r}")
         if p_min < 0.0 or p_max > 1.0:
@@ -215,8 +205,8 @@ _USELESS = "false", "true"
 
 def _render(blocks: Iterable[tuple], as_json: bool) -> Iterator[str]:
     """The text of a sweep, one chunk per block.  Within a block, k and delta
-    are formatted once; the p and d_err tokens once per list of priors, which
-    a spec's blocks share; the results once per distinct value, in the memo."""
+    are formatted once, and the results once per cell; the p and d_err tokens
+    once per run of blocks with equal priors, which is every block of a spec."""
     token = formatter(as_json)
     opening, before, end, sep, closing = _JSON if as_json else _CSV
     b_k, b_p, b_gamma, b_theta, b_delta, b_o, b_d, b_a, b_pe, b_ad, b_u = before
@@ -227,7 +217,7 @@ def _render(blocks: Iterable[tuple], as_json: bool) -> Iterator[str]:
     lead = ""  # what goes before a block: sep, from the second block on
     last_ps = p_tokens = d_tokens = None
     for k, gamma, theta, delta, ps, records in blocks:
-        if ps is not last_ps:
+        if ps != last_ps:
             last_ps, p_tokens, d_tokens = ps, [token(p) for p in ps], None
         head = f"{b_k}{token(k)}{b_p}"
         coherence = f"{b_gamma}{token(gamma)}{b_theta}{token(theta)}{b_delta}"

@@ -20,15 +20,14 @@ from cohdet import (
     ScenarioParams,
     SweepSpec,
     TrialConfig,
+    bound_report,
     equivalence_report,
     helstrom_bound,
-    overlap,
     qod_advantage,
     run_simulation,
     spade_advantage,
     spade_error,
     sweep_rows,
-    useless_boundary,
 )
 from cohdet.cli import main
 from cohdet.kernel import effective_coherence
@@ -84,8 +83,7 @@ def test_criterion_3_useless_region_boundary():
     for gamma in (0.1, 0.9):
         for theta in THETAS:
             for k in linspace(0.0, 5.0, 21):
-                c = effective_coherence(gamma, theta)
-                p_star = useless_boundary(overlap(k), c)
+                p_star = bound_report(ScenarioParams(k, gamma, theta)).p_star
                 above = ScenarioParams(k=k, gamma=gamma, theta=theta, p=p_star + 1e-6)
                 gap = abs(helstrom_bound(above) - min(above.p, 1.0 - above.p))
                 worst_eq = max(worst_eq, gap)
@@ -95,8 +93,8 @@ def test_criterion_3_useless_region_boundary():
                     worst_margin = min(worst_margin, qod_advantage(below) - 1.0)
     assert worst_eq <= 1e-9, f"worst |o_err - d_err| above boundary: {worst_eq!r}"
     assert worst_margin > 1e-6, f"worst advantage margin below boundary: {worst_margin!r}"
-    for delta in (1.0, overlap(1.0), overlap(4.0)):
-        assert useless_boundary(delta, 0.0) == 2.0 / 3.0
+    for k in (0.0, 1.0, 4.0):
+        assert bound_report(ScenarioParams(k, 0.0)).p_star == 2.0 / 3.0
     _pass(3, f"equality gap {worst_eq:.2e}, advantage margin {worst_margin:.2e}")
 
 

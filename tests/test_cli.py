@@ -388,10 +388,9 @@ class TestStartup:
     NAMES = {
         "CSV_HEADER", "CohdetError", "DegenerateScenarioError", "DomainError", "GridAccuracyError",
         "Observable2", "ScenarioParams", "SpatialGrid", "SweepSpec", "TrialConfig", "bound_report",
-        "eigenvalues_sym2", "equivalence_report", "grid_helstrom", "grid_overlap", "grid_rho2",
-        "helstrom_bound", "lambda_matrix", "normalization", "overlap", "qod_advantage", "render_csv",
-        "render_json", "rho1", "rho2", "run_simulation", "spade_advantage", "spade_error",
-        "sweep_rows", "useless_boundary",
+        "equivalence_report", "grid_helstrom", "grid_overlap", "grid_rho2", "helstrom_bound",
+        "lambda_matrix", "overlap", "qod_advantage", "render_csv", "render_json", "rho2",
+        "run_simulation", "spade_advantage", "spade_error", "sweep_rows",
     }
 
     #: Names dropped from the package namespace, by the module that keeps them.
@@ -403,9 +402,12 @@ class TestStartup:
     }
 
     #: Names deleted outright; in_useless_region was a second definition of "useless",
-    #: and DensityMatrix2 a second 2x2 record whose checks only the oracle needs.
-    DELETED = ("DensityMatrix2", "GridState", "IDENTITY_TOL", "direct_error", "in_useless_region",
-               "sweep_row", "trace_norm")
+    #: DensityMatrix2 a second 2x2 record whose checks only the oracle needs, and
+    #: eigenvalues_sym2, normalization, rho1 and useless_boundary second routes to
+    #: values that bound_report gives (and rho1 the constant Observable2(1.0, 0.0, 0.0)).
+    DELETED = ("DensityMatrix2", "GridState", "IDENTITY_TOL", "direct_error", "eigenvalues_sym2",
+               "in_useless_region", "normalization", "rho1", "sweep_row", "trace_norm",
+               "useless_boundary")
 
     def test_bound_does_not_load_numpy(self):
         code = (
@@ -443,7 +445,7 @@ class TestStartup:
 
     def test_every_public_name_resolves(self):
         assert set(cohdet.__all__) == self.NAMES
-        assert len(cohdet.__all__) == 30
+        assert len(cohdet.__all__) == 26
         for name in cohdet.__all__:
             assert getattr(cohdet, name) is not None
         from cohdet import TrialConfig, grid_rho2

@@ -5,23 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from conftest import finite_floats, linspace, scenario_params
+from conftest import linspace, scenario_params
 
 from cohdet import (
     DomainError,
-    Observable2,
     ScenarioParams,
     bound_report,
-    eigenvalues_sym2,
     helstrom_bound,
     lambda_matrix,
-    normalization,
-    overlap,
     qod_advantage,
-    rho1,
     spade_advantage,
     spade_error,
-    useless_boundary,
 )
 
 # Frozen reference values (confirmed against the grid oracle and the
@@ -35,70 +29,64 @@ P_STAR_K1_G09 = 0.9497154213698529
 THETAS = (0.0, math.pi / 3, 2 * math.pi / 3, math.pi)
 
 
+def lapack_eigenvalues(m):
+    """Ascending eigenvalues of a symmetric 2x2 matrix by LAPACK, a route
+    independent of the kernel's closed form."""
+    low, high = np.linalg.eigvalsh(np.array([[m.a11, m.a12], [m.a12, m.a22]]))
+    return float(low), float(high)
+
+
 def trace_norm(m):
     """Sum of the absolute eigenvalues."""
-    low, high = eigenvalues_sym2(m)
+    low, high = lapack_eigenvalues(m)
     return abs(low) + abs(high)
 
 
 class TestEigenvalues:
-    def test_identity(self):
-        assert eigenvalues_sym2(Observable2(1.0, 0.0, 1.0)) == (1.0, 1.0)
+    """The eigenvalues of Lambda as `bound_report` gives them."""
 
-    @given(finite_floats(-5.0, 5.0), finite_floats(-5.0, 5.0))
-    def test_trace_free_form(self, a, b):
-        low, high = eigenvalues_sym2(Observable2(a, b, -a))
-        r = math.hypot(a, b)
-        assert low == pytest.approx(-r, abs=1e-12)
-        assert high == pytest.approx(r, abs=1e-12)
+    @given(scenario_params())
+    def test_trace_free_form(self, params):
+        # At p = 1/2 Lambda is trace-free, so its eigenvalues are -r and r.
+        report = bound_report(ScenarioParams(params.k, params.gamma, params.theta, 0.5))
+        r = math.hypot(0.5 * (report.lambda_11 - report.lambda_22), report.lambda_12)
+        assert report.eig_low == pytest.approx(-r, abs=1e-12)
+        assert report.eig_high == pytest.approx(r, abs=1e-12)
 
     def test_derived_value(self):
-        lam = lambda_matrix(ScenarioParams(k=2.0, gamma=0.0, theta=0.0, p=0.5))
-        low, high = eigenvalues_sym2(lam)
-        assert low == pytest.approx(-EIG_K2, abs=1e-5)
-        assert high == pytest.approx(EIG_K2, abs=1e-5)
+        report = bound_report(ScenarioParams(k=2.0, gamma=0.0, theta=0.0, p=0.5))
+        assert report.eig_low == pytest.approx(-EIG_K2, abs=1e-5)
+        assert report.eig_high == pytest.approx(EIG_K2, abs=1e-5)
 
-    @given(finite_floats(-10.0, 10.0), finite_floats(-10.0, 10.0), finite_floats(-10.0, 10.0))
-    def test_matches_trace_and_determinant(self, a11, a12, a22):
-        m = Observable2(a11, a12, a22)
-        low, high = eigenvalues_sym2(m)
-        assert low <= high
-        scale = max(1.0, abs(a11), abs(a12), abs(a22))
-        assert low + high == pytest.approx(m.trace(), abs=1e-10 * scale)
-        assert low * high == pytest.approx(m.det(), abs=1e-10 * scale**2)
+    @given(scenario_params())
+    def test_matches_trace_and_determinant(self, params):
+        report = bound_report(params)
+        lam = lambda_matrix(params)
+        assert report.eig_low <= report.eig_high
+        assert report.eig_low + report.eig_high == pytest.approx(lam.trace(), abs=1e-12)
+        assert report.eig_low * report.eig_high == pytest.approx(lam.det(), abs=1e-12)
 
     def test_tiny_eigenvalue_does_not_cancel(self):
         # Lambda = [[-1, -5e-301], [-5e-301, 5e-301]]: half_trace - radius
-        # cancelled the eigenvalue 5e-301 to 0; det/larger keeps it, as the report does.
-        params = ScenarioParams(1e300, 1.0, math.pi, 1e-300)
-        report = bound_report(params)
-        assert eigenvalues_sym2(lambda_matrix(params)) == (report.eig_low, report.eig_high) == (-1.0, 5e-301)
-
-    def test_only_an_eigenvalue_past_the_largest_double_overflows(self):
-        big = sys.float_info.max
-        assert eigenvalues_sym2(Observable2(big, 0.0, -big)) == (-big, big)
-        assert eigenvalues_sym2(Observable2(big, big, big)) == (0.0, math.inf)
-        assert eigenvalues_sym2(Observable2(0.0, 0.0, 0.0)) == (0.0, 0.0)
-
-    def test_rejects_nonfinite(self):
-        # the one public function that takes a matrix its caller built
-        for entries in ((math.inf, 0.0, 0.0), (0.0, math.nan, 0.0), (0.0, 0.0, -math.inf)):
-            with pytest.raises(DomainError, match="must be finite"):
-                eigenvalues_sym2(Observable2(*entries))
+        # would cancel the eigenvalue 5e-301 to 0; det/larger keeps it.
+        report = bound_report(ScenarioParams(1e300, 1.0, math.pi, 1e-300))
+        assert (report.eig_low, report.eig_high) == (-1.0, 5e-301)
 
     def test_agrees_with_lapack(self):
         rng = np.random.default_rng(20240817)
-        for _ in range(200):
-            a11, a12, a22 = rng.normal(scale=3.0, size=3)
-            ours = eigenvalues_sym2(Observable2(a11, a12, a22))
-            ref = np.linalg.eigvalsh(np.array([[a11, a12], [a12, a22]]))
-            assert ours[0] == pytest.approx(ref[0], abs=1e-10)
-            assert ours[1] == pytest.approx(ref[1], abs=1e-10)
+        for k, gamma, theta, p in zip(*(rng.random((4, 200)) * [[6.0], [1.0], [2 * math.pi], [1.0]])):
+            params = ScenarioParams(float(k), float(gamma), float(theta), float(p))
+            report = bound_report(params)
+            low, high = lapack_eigenvalues(lambda_matrix(params))
+            assert report.eig_low == pytest.approx(low, abs=1e-10)
+            assert report.eig_high == pytest.approx(high, abs=1e-10)
 
 
 class TestTraceNorm:
     def test_unit_trace_psd_states(self):
-        assert trace_norm(rho1()) == 1.0
+        # Lambda is -rho_1 at p = 0 and rho_2 at p = 1.
+        lam_p0 = lambda_matrix(ScenarioParams(k=1.7, gamma=0.3, theta=1.0, p=0.0))
+        assert trace_norm(lam_p0) == 1.0
         lam_p1 = lambda_matrix(ScenarioParams(k=1.7, gamma=0.3, theta=1.0, p=1.0))
         assert trace_norm(lam_p1) == pytest.approx(1.0, abs=1e-12)
 
@@ -106,10 +94,10 @@ class TestTraceNorm:
         report = bound_report(ScenarioParams(k=2.0, gamma=0.0, theta=0.0, p=0.5))
         assert 1.0 - 2.0 * report.o_err == pytest.approx(TRACE_NORM_K2, abs=1e-5)
 
-    @given(finite_floats(-10.0, 10.0), finite_floats(-10.0, 10.0), finite_floats(-10.0, 10.0))
-    def test_bounds_trace(self, a11, a12, a22):
-        m = Observable2(a11, a12, a22)
-        assert trace_norm(m) >= abs(m.trace()) - 1e-12
+    @given(scenario_params())
+    def test_bounds_trace(self, params):
+        report = bound_report(params)
+        assert abs(report.eig_low) + abs(report.eig_high) >= abs(2.0 * params.p - 1.0) - 1e-12
 
 
 class TestHelstromBound:
@@ -179,22 +167,26 @@ class TestAdvantage:
 
 
 class TestUselessRegion:
+    @staticmethod
+    def p_star(k, gamma, theta=0.0):
+        return bound_report(ScenarioParams(k, gamma, theta)).p_star
+
     def test_incoherent_boundary_is_two_thirds(self):
-        for delta in (1.0, 0.7, 0.1):
-            assert useless_boundary(delta, 0.0) == 2.0 / 3.0
+        for k in (0.0, 1.0, 4.0):
+            assert self.p_star(k, 0.0) == 2.0 / 3.0
 
     def test_boundary_touches_one_at_full_coherence(self):
-        assert useless_boundary(1.0, 1.0) == 1.0
+        assert self.p_star(0.0, 1.0) == 1.0
 
     def test_derived_value(self):
-        assert useless_boundary(overlap(1.0), 0.9) == pytest.approx(P_STAR_K1_G09, abs=1e-12)
+        assert self.p_star(1.0, 0.9) == pytest.approx(P_STAR_K1_G09, abs=1e-12)
 
     def test_eigenvalue_signs_flip_at_boundary(self):
-        p_star = useless_boundary(overlap(1.0), 0.9)
+        p_star = self.p_star(1.0, 0.9)
         above = lambda_matrix(ScenarioParams(k=1.0, gamma=0.9, theta=0.0, p=p_star + 1e-6))
         below = lambda_matrix(ScenarioParams(k=1.0, gamma=0.9, theta=0.0, p=p_star - 1e-6))
-        assert min(eigenvalues_sym2(above)) > 0.0
-        assert min(eigenvalues_sym2(below)) < 0.0
+        assert lapack_eigenvalues(above)[0] > 0.0
+        assert lapack_eigenvalues(below)[0] < 0.0
 
     def test_membership_examples(self):
         assert bound_report(ScenarioParams(k=1.0, gamma=0.0, theta=0.0, p=0.8)).useless
@@ -209,11 +201,9 @@ class TestUselessRegion:
         for gamma in (0.1, 0.9):
             for theta in THETAS:
                 for k in linspace(0.0, 5.0, 11):
-                    p_star = useless_boundary(
-                        overlap(k), gamma * math.cos(theta)
-                    )
+                    p_star = self.p_star(k, gamma, theta)
                     just_above = ScenarioParams(k=k, gamma=gamma, theta=theta, p=p_star + 1e-6)
-                    low, high = eigenvalues_sym2(lambda_matrix(just_above))
+                    low, high = lapack_eigenvalues(lambda_matrix(just_above))
                     assert low >= -1e-9 and high >= -1e-9
                     assert abs(
                         helstrom_bound(just_above) - min(just_above.p, 1.0 - just_above.p)
@@ -226,8 +216,8 @@ class TestUselessRegion:
 
     @given(scenario_params())
     def test_no_all_negative_regime(self, params):
-        low, high = eigenvalues_sym2(lambda_matrix(params))
-        assert not (low < -1e-12 and high < -1e-12)
+        report = bound_report(params)
+        assert not (report.eig_low < -1e-12 and report.eig_high < -1e-12)
 
     def test_prior_symmetry_at_coincidence(self):
         rng = np.random.default_rng(7)
@@ -251,22 +241,23 @@ class TestBoundReport:
 
     @given(scenario_params())
     def test_fields_equal_the_step_by_step_api(self, params):
-        # The (delta, c) functions take dm = 1 - delta from the rounded delta,
-        # and a scenario takes it from k, so the two agree to the rounding of
-        # delta, which 1 + delta*c > 1e-6 magnifies at most 1e6 times.  Both
-        # eigenvalue routines take the smaller one as det/larger; their half
-        # traces (p - 1/2 against the entries' mean) and dets (factored against
-        # a11*a22 - a12**2) differ by a few roundings of entries at most 1.
+        # The textbook forms of N and p* below take 1 + delta*c from the
+        # rounded delta, and a scenario takes 1 - delta from k, so the two
+        # agree to the rounding of delta, which 1 + delta*c > 1e-6 magnifies
+        # at most 1e6 times.  LAPACK's eigenvalues of the entries agree with
+        # the report's to a few roundings of entries at most 1.
         report = bound_report(params)
         lam = lambda_matrix(params)
-        assert report.delta == params.delta
-        assert report.normalization == pytest.approx(normalization(params.delta, params.c), rel=1e-9)
+        delta, c = params.delta, params.c
+        assert report.delta == delta
+        assert report.normalization == pytest.approx(0.5 / (1.0 + delta * c), rel=1e-9)
         assert (report.lambda_11, report.lambda_12, report.lambda_22) == (lam.a11, lam.a12, lam.a22)
-        eigenvalues = pytest.approx(eigenvalues_sym2(lam), abs=4 * sys.float_info.epsilon)
+        eigenvalues = pytest.approx(lapack_eigenvalues(lam), abs=4 * sys.float_info.epsilon)
         assert (report.eig_low, report.eig_high) == eigenvalues
         assert report.o_err == helstrom_bound(params)
         assert report.a_qod == qod_advantage(params)
-        assert report.p_star == pytest.approx(useless_boundary(params.delta, params.c), rel=1e-9)
+        p_star = (2.0 + 2.0 * delta * c) / (3.0 + 2.0 * delta * c - c * c)
+        assert report.p_star == pytest.approx(p_star, rel=1e-9)
         p_err, a_d = spade_error(params.delta, params.c, params.p), spade_advantage(params)
         if params.p == 0.0:
             assert a_d == 1.0

@@ -9,15 +9,17 @@ from conftest import admissible_delta_c, finite_floats, scenario_params
 from cohdet import (
     DegenerateScenarioError,
     DomainError,
+    Observable2,
     ScenarioParams,
     SpatialGrid,
     SweepSpec,
     TrialConfig,
+    bound_report,
     lambda_matrix,
-    normalization,
     overlap,
-    rho1,
     rho2,
+    run_simulation,
+    sweep_rows,
 )
 from cohdet.kernel import _pair_terms, effective_coherence
 
@@ -88,39 +90,61 @@ class TestCountChecks:
         with pytest.raises(DomainError, match=f"got {bad!r}$"):
             self.MAKERS[field](bad)
 
+    #: A use of each built object that needs its count as an int.
+    USES = {
+        "k_steps": sweep_rows,
+        "p_steps": sweep_rows,
+        "n_points": lambda grid: grid.weights,
+        "n_photons": run_simulation,
+        "seed": run_simulation,
+    }
+
     @pytest.mark.parametrize("field", sorted(MAKERS))
     def test_accepts_whole_numbers_of_any_size(self, field):
-        self.MAKERS[field](3.0)
-        self.MAKERS[field](10**400)  # compared as an int, never through float
+        # A whole float is stored as the int it equals, so the object works.
+        built = self.MAKERS[field](3.0)
+        assert type(getattr(built, field)) is int and getattr(built, field) == 3
+        self.USES[field](built)
+        # Compared as an int, never through float; too large to use.
+        assert getattr(self.MAKERS[field](10**400), field) == 10**400
 
 
 class TestNormalization:
+    """N = 1/(2*(1 + delta*c)) as `bound_report` gives it; the public
+    (delta, c) function rho2 shares its checks."""
+
+    @staticmethod
+    def normalization(k, gamma, theta=0.0):
+        return bound_report(ScenarioParams(k, gamma, theta)).normalization
+
     def test_incoherent_coincident_limit(self):
-        assert normalization(1.0, 0.0) == 0.5
+        assert self.normalization(0.0, 0.0) == 0.5
 
     def test_value_cross_checked_by_trace(self):
-        n = normalization(DELTA_K2, 0.45)
+        n = self.normalization(2.0, 0.45)
         assert n == pytest.approx(N_K2_C045, abs=1e-15)
         assert rho2(DELTA_K2, 0.45).trace() == pytest.approx(1.0, abs=1e-12)
 
     def test_singular_point_raises(self):
         # Only delta*c = -1 itself is singular; next to it N is exact at the doubles.
         with pytest.raises(DegenerateScenarioError):
-            normalization(1.0, -1.0)
-        assert normalization(1.0, -0.999999999999999) == 0.5 / (1.0 - 0.999999999999999)
+            rho2(1.0, -1.0)
+        assert self.normalization(0.0, 0.999999999999999, math.pi) == 0.5 / (1.0 - 0.999999999999999)
 
     @pytest.mark.parametrize("delta,c", [(1.5, 0.0), (-0.1, 0.0), (0.5, 2.0), (math.nan, 0.0)])
     def test_rejects_out_of_domain(self, delta, c):
         with pytest.raises(DomainError):
-            normalization(delta, c)
+            rho2(delta, c)
 
 
 class TestStates:
     def test_rho1_is_pure_projector(self):
-        r = rho1()
-        assert (r.a11, r.a12, r.a22) == (1.0, 0.0, 0.0)
+        # rho_1 is Observable2(1.0, 0.0, 0.0), and Lambda = -rho_1 at p = 0.
+        r = Observable2(1.0, 0.0, 0.0)
         assert r.trace() == 1.0
         assert r.det() == 0.0
+        lam0 = lambda_matrix(ScenarioParams(k=1.3, gamma=0.4, theta=0.7, p=0.0))
+        assert (-lam0.a11, -lam0.a12, -lam0.a22) == r
 
     @pytest.mark.parametrize("c", [-0.9, -0.3, 0.0, 0.45, 1.0])
     def test_rho2_collapses_onto_rho1_when_sources_coincide(self, c):

@@ -23,7 +23,7 @@ from cohdet import (
     sweep_rows,
 )
 from cohdet.kernel import _evaluate
-from cohdet.sweeps import _MEMO_SIZE, SweepRow, format_sig, stream_sweep
+from cohdet.sweeps import SweepRow, format_sig, stream_sweep
 
 COLUMNS = CSV_HEADER.split(",")
 
@@ -274,8 +274,8 @@ def _reference_json(rows):
 
 class TestFastPath:
     """sweep_rows hoists the kernel out of the prior loop; every row must
-    equal the scalar path's results, and the memoised renderers must equal
-    a cell-by-cell format_sig rendering."""
+    equal the scalar path's results, and the renderers, which format the
+    values a grid repeats once, must equal a cell-by-cell format_sig rendering."""
 
     @given(sweep_specs())
     @example(SweepSpec(0.0, 1e-3, 3, 0.0, 1.0, 7, gamma=1.0, theta=math.pi))
@@ -321,12 +321,13 @@ class TestFastPath:
         assert chunks[1].endswith(",degenerate\n")  # k = 0 is the singular point here
 
     def test_rendering_outgrows_the_memo(self):
-        # Many more distinct values than the memo holds: it starts afresh
-        # several times within each rendering, and no token changes.
-        rows = sweep_rows(SweepSpec(0.0, 5.0, 81, 0.0, 1.0, 81, gamma=0.9, theta=2.0))
+        # A map of many thousand distinct values, each rendered as format_sig
+        # renders it, and equal to the streamed text.
+        spec = SweepSpec(0.0, 5.0, 81, 0.0, 1.0, 81, gamma=0.9, theta=2.0)
+        rows = sweep_rows(spec)
         distinct = {value for row in rows for value in row[:10] if value is not None}
-        assert len(distinct) > 3 * _MEMO_SIZE
-        assert render_csv(rows) == _reference_csv(rows)
+        assert len(distinct) > 12_000
+        assert render_csv(rows) == _reference_csv(rows) == "".join(stream_sweep(spec))
         assert render_json(rows) == _reference_json(rows)
 
     def test_json_prints_non_finite_as_null(self):
