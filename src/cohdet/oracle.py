@@ -15,15 +15,13 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, GridAccuracyError
 from .kernel import (
-    Observable2, ScenarioParams, _pair_terms, _prior_terms, _require_count,
+    Observable2, ScenarioParams, _pair_terms, _prior_terms, _Record, _require_count,
     _require_effective_coherence, _require_prior, _require_separation, _separation_terms,
 )
 
@@ -41,20 +39,19 @@ MARGIN = 6.0
 _COLINEAR_EPS = 1e-7
 
 
-@dataclass(frozen=True)
-class SpatialGrid:
+class SpatialGrid(_Record):
     """Uniform 1-D sampling window for the image-plane wavefunctions, in
     units of the PSF width sigma."""
 
-    x_min: float
-    x_max: float
-    n_points: int = 4001
+    __slots__ = ("x_min", "x_max", "n_points", "_xs", "_weights")
+    _fields = ("x_min", "x_max", "n_points")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)) or self.x_max <= self.x_min:
-            raise DomainError(f"invalid grid window [{self.x_min!r}, {self.x_max!r}]")
-        object.__setattr__(
-            self, "n_points", _require_count(self.n_points, 2, "n_points must be an integer >= 2"))
+    def __init__(self, x_min: float, x_max: float, n_points: int = 4001) -> None:
+        if not (math.isfinite(x_min) and math.isfinite(x_max)) or x_max <= x_min:
+            raise DomainError(f"invalid grid window [{x_min!r}, {x_max!r}]")
+        n_points = _require_count(n_points, 2, "n_points must be an integer >= 2")
+        for name, value in zip(self.__slots__, (x_min, x_max, n_points, None, None)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def for_separation(cls, k: float, n_points: int = 4001) -> "SpatialGrid":
@@ -67,20 +64,25 @@ class SpatialGrid:
     def spacing(self) -> float:
         return (self.x_max - self.x_min) / (self.n_points - 1)
 
-    # Built once per grid and read-only, since every inner product reads them.
-    @cached_property
+    # Built on first use, once per grid, and read-only, since every inner
+    # product reads them.
+    @property
     def xs(self) -> np.ndarray:
-        xs = np.linspace(self.x_min, self.x_max, self.n_points)
-        xs.flags.writeable = False
-        return xs
+        if self._xs is None:
+            xs = np.linspace(self.x_min, self.x_max, self.n_points)
+            xs.flags.writeable = False
+            object.__setattr__(self, "_xs", xs)
+        return self._xs
 
-    @cached_property
+    @property
     def weights(self) -> np.ndarray:
         """Trapezoid quadrature weights."""
-        w = np.full(self.n_points, self.spacing)
-        w[0] = w[-1] = 0.5 * self.spacing
-        w.flags.writeable = False
-        return w
+        if self._weights is None:
+            w = np.full(self.n_points, self.spacing)
+            w[0] = w[-1] = 0.5 * self.spacing
+            w.flags.writeable = False
+            object.__setattr__(self, "_weights", w)
+        return self._weights
 
     def require_accuracy(self, k: float) -> None:
         """Reject grids that cannot support the promised TOLERANCE agreement

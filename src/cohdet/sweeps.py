@@ -91,12 +91,11 @@ def formatter(as_json: bool = False) -> Callable[[object], str]:
     return token
 
 
-def _linspace(lo: float, hi: float, n: int) -> list[float]:
-    if n == 1:
-        return [lo]
-    values = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    values[-1] = hi
-    return values
+def _linspace(lo: float, hi: float, n: int) -> Iterator[float]:
+    """n evenly spaced values from lo to hi, one at a time; the last is hi."""
+    for i in range(n - 1):
+        yield lo + (hi - lo) * i / (n - 1)
+    yield hi if n > 1 else lo
 
 
 class SweepSpec(_Record):
@@ -126,10 +125,10 @@ class SweepSpec(_Record):
             object.__setattr__(self, name, value)
 
     def k_values(self) -> list[float]:
-        return _linspace(self.k_min, self.k_max, self.k_steps)
+        return list(_linspace(self.k_min, self.k_max, self.k_steps))
 
     def p_values(self) -> list[float]:
-        return _linspace(self.p_min, self.p_max, self.p_steps)
+        return list(_linspace(self.p_min, self.p_max, self.p_steps))
 
 
 class SweepRow(NamedTuple):
@@ -160,7 +159,8 @@ def _blocks(spec: SweepSpec) -> Iterator[tuple]:
     gamma, theta = spec.gamma, spec.theta
     c = effective_coherence(gamma, theta % _TWO_PI)
     ps = spec.p_values()
-    for k in spec.k_values():
+    # Each k from its index, so a sweep holds no list of its separations.
+    for k in _linspace(spec.k_min, spec.k_max, spec.k_steps):
         delta, dm = _separation_terms(k)
         try:
             pair = _pair_terms(delta, dm, c)

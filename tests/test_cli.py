@@ -426,6 +426,11 @@ class TestStartup:
         result = run_python("-c", code)
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[]\n"
+        # numpy itself imports inspect, so only dataclasses is checked for the numpy-backed modules.
+        code = "import sys, cohdet.montecarlo, cohdet.oracle\nprint('dataclasses' in sys.modules)\n"
+        result = run_python("-c", code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
 
     def test_map_memory_does_not_grow_with_the_grid(self):
         # Peak RSS of a fresh process that writes a map to /dev/null, in KiB (Linux).

@@ -1,13 +1,14 @@
 import json
 import math
 import struct
+import tracemalloc
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import finite_floats
+from conftest import finite_floats, linspace
 
 from cohdet import (
     CSV_HEADER,
@@ -23,7 +24,7 @@ from cohdet import (
     sweep_rows,
 )
 from cohdet.kernel import _evaluate
-from cohdet.sweeps import SweepRow, format_sig, stream_sweep
+from cohdet.sweeps import SweepRow, _blocks, format_sig, stream_sweep
 
 COLUMNS = CSV_HEADER.split(",")
 
@@ -161,6 +162,28 @@ class TestSweepSpec:
     def test_rejects_bad_specs(self, kwargs):
         with pytest.raises(DomainError):
             SweepSpec(**kwargs)
+
+    @pytest.mark.parametrize("k_min, k_max, k_steps", [
+        (1.0, 1.0, 1), (0.0, 5.0, 2), (0.0, 5.0, 3), (0.1, 7.3, 101), (1e-8, 4.0, 1000),
+        (0.0, 5.0, 12345), (2.5, 2.5, 7),
+    ])
+    def test_streamed_separations_are_the_listed_ones(self, k_min, k_max, k_steps):
+        spec = SweepSpec(k_min, k_max, k_steps, 0.0, 1.0, 2)
+        streamed = [block[0] for block in _blocks(spec)]
+        assert streamed == spec.k_values() == linspace(k_min, k_max, k_steps)
+        assert streamed[-1] == k_max
+
+    def test_stream_holds_no_list_of_separations(self):
+        spec = SweepSpec(0.0, 5.0, 10**6, 0.0, 1.0, 2)
+        tracemalloc.start()
+        try:
+            chunks = stream_sweep(spec)
+            assert next(chunks) == CSV_HEADER + "\n"
+            next(chunks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestSweepRows:
