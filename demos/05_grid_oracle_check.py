@@ -3,9 +3,9 @@
 The closed forms say the overlap is exp(-k^2/8) and the optimal error
 probability follows from a 2x2 eigenproblem.  Here the Gaussian PSF
 wavefunctions are sampled on a dense grid, orthonormalized numerically,
-and the whole calculation is repeated with quadrature and LAPACK instead
-of algebra.  Agreement to well below 1e-6 is what the `cohdet verify`
-command checks on a full (k, c, p) grid.
+and the whole calculation is repeated with quadrature and a numerical
+2x2 eigensolver instead of algebra.  Agreement to well below 1e-6 is
+what the `cohdet verify` command checks on a full (k, c, p) grid.
 """
 
 import math

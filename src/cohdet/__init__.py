@@ -7,8 +7,9 @@ over blind guessing, a practical binary mode-sorting strategy, a seeded
 Monte Carlo validator, and an independent spatial-grid oracle that rebuilds
 everything by brute force.
 
-Only the validator and the oracle need numpy; their names load on first
-use, so importing the package for bounds and sweeps does not import it.
+Only the Monte Carlo validator needs numpy.  Its names and the oracle's
+load on first use, so importing the package for bounds and sweeps loads
+neither numpy nor the oracle.
 """
 
 import importlib
@@ -34,7 +35,7 @@ from .sweeps import (
     sweep_rows,
 )
 
-#: Names served by the numpy-backed modules, imported on first access.
+#: Names imported on first access: the numpy-backed validator's and the oracle's.
 _LAZY = dict.fromkeys(("TrialConfig", "run_simulation"), "montecarlo")
 _LAZY.update(dict.fromkeys((
     "SpatialGrid", "equivalence_report", "grid_helstrom", "grid_overlap", "grid_rho2"), "oracle"))

@@ -118,7 +118,7 @@ def _cmd_spade(ns: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(ns: argparse.Namespace) -> int:
-    # numpy loads only for the commands that use it.
+    # numpy loads only for the one command that uses it.
     from .montecarlo import TrialConfig, run_simulation
 
     config = TrialConfig(

@@ -2,11 +2,14 @@
 
 Everything here re-derives the closed-form quantities from first
 principles: sample the Gaussian point-spread wavefunctions on a dense 1-D
-grid, integrate overlaps with trapezoid weights, orthonormalize the pair
-with Gram-Schmidt, project the two-source operator onto that numerical
-basis and diagonalize with LAPACK.  No analytic shortcut from the rest of
-the package is reused, which makes the agreement tests meaningful.  These
-routines are meant for verification, not for hot paths.  Like the
+grid, integrate overlaps with the trapezoid rule, summed exactly with
+`math.fsum`, orthonormalize the pair with Gram-Schmidt, project the
+two-source operator onto that numerical basis and diagonalize it with a
+stable 2x2 eigenvalue formula of this module's own.  No analytic shortcut
+from the rest of the package is reused, which makes the agreement tests
+meaningful.  These routines are meant for verification, not for hot
+paths, and need no numpy: `verify`'s block at 4001 or 8001 points takes
+less time in plain Python than importing numpy does.  Like the
 closed-form kernel, they run in stages: `_sample` per separation k,
 `_project` per (k, c) and `_decide` per prior p.
 """
@@ -15,9 +18,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from operator import mul
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import DomainError, GridAccuracyError
 from .kernel import (
@@ -62,26 +64,32 @@ class SpatialGrid(_Record):
 
     @property
     def spacing(self) -> float:
-        return (self.x_max - self.x_min) / (self.n_points - 1)
+        """The step between points; a count too large for a double has none,
+        a DomainError raised before anything is sampled."""
+        try:
+            return (self.x_max - self.x_min) / (self.n_points - 1)
+        except OverflowError:
+            raise DomainError(
+                "n_points too large for a floating-point grid spacing (about 1.8e308 at most)"
+            ) from None
 
-    # Built on first use, once per grid, and read-only, since every inner
-    # product reads them.
+    # Built on first use, once per grid, as tuples, so that no caller can change them.
     @property
-    def xs(self) -> np.ndarray:
+    def xs(self) -> tuple[float, ...]:
+        """The points x_min + i*spacing, ending exactly at x_max."""
         if self._xs is None:
-            xs = np.linspace(self.x_min, self.x_max, self.n_points)
-            xs.flags.writeable = False
+            x_min, step = self.x_min, self.spacing
+            xs = tuple([x_min + i * step for i in range(self.n_points - 1)]) + (self.x_max,)
             object.__setattr__(self, "_xs", xs)
         return self._xs
 
     @property
-    def weights(self) -> np.ndarray:
+    def weights(self) -> tuple[float, ...]:
         """Trapezoid quadrature weights."""
         if self._weights is None:
-            w = np.full(self.n_points, self.spacing)
-            w[0] = w[-1] = 0.5 * self.spacing
-            w.flags.writeable = False
-            object.__setattr__(self, "_weights", w)
+            step = self.spacing
+            ends = (0.5 * step,)
+            object.__setattr__(self, "_weights", ends + (step,) * (self.n_points - 2) + ends)
         return self._weights
 
     def require_accuracy(self, k: float) -> None:
@@ -104,63 +112,73 @@ class SpatialGrid(_Record):
             )
 
 
-def psf_state(grid: SpatialGrid, center: float) -> np.ndarray:
+def psf_state(grid: SpatialGrid, center: float) -> list[float]:
     """Sample the Gaussian PSF wavefunction centred at `center` and
     renormalize it numerically on the grid: the L2-normalized amplitudes."""
-    raw = (2.0 * math.pi) ** -0.25 * np.exp(-((grid.xs - center) ** 2) / 4.0)
-    raw_norm = float(np.sum(raw * raw * grid.weights))
+    peak, exp = (2.0 * math.pi) ** -0.25, math.exp
+    raw = [peak * exp((x - center) * (center - x) / 4.0) for x in grid.xs]
+    raw_norm = _inner(grid, raw, raw)
     if not raw_norm > 0.0:
         raise GridAccuracyError(f"state at {center!r} vanishes on the grid (norm {raw_norm!r})")
-    amplitudes = raw / math.sqrt(raw_norm)
-    norm = float(np.sum(amplitudes**2 * grid.weights))
+    root = math.sqrt(raw_norm)
+    amplitudes = [r / root for r in raw]
+    norm = _inner(grid, amplitudes, amplitudes)
     if not abs(norm - 1.0) <= 1e-8:
         raise GridAccuracyError(f"state norm {norm!r} deviates from 1 beyond 1e-8")
     return amplitudes
 
 
-def _inner(grid: SpatialGrid, a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.sum(a * b * grid.weights))
+def _inner(grid: SpatialGrid, a: list[float], b: list[float]) -> float:
+    """Trapezoid rule for the integral of a*b: the spacing times the exact
+    (correctly rounded) sum of the products less half of the two end ones."""
+    return grid.spacing * (math.fsum(map(mul, a, b)) - 0.5 * (a[0] * b[0] + a[-1] * b[-1]))
 
 
-#: The sources at 0 and k sampled on `grid`, their quadrature overlap, their
-#: orthonormalized basis, psi0's components in it, and the kernel's delta and dm.
-_Sample = namedtuple("_Sample", "grid psi0 psis overlap basis proj0 delta dm")
+#: The quadrature overlap of the sources at 0 and k, the components of psi0
+#: and psis in their orthonormalized basis, and the kernel's delta and dm.
+_Sample = namedtuple("_Sample", "overlap proj0 projs delta dm")
 
 
 def _sample(k: float, grid: SpatialGrid | None) -> _Sample:
     """Per-k stage, on `SpatialGrid.for_separation(k)` by default.  The basis
-    comes from Gram-Schmidt with one re-orthogonalization pass and has one
-    vector when the pair is numerically colinear (coincident sources)."""
+    comes from Gram-Schmidt on the sampled vectors with one
+    re-orthogonalization pass and has one vector when the pair is
+    numerically colinear (coincident sources)."""
     _require_separation(k)
     if grid is None:
         grid = SpatialGrid.for_separation(k)
     grid.require_accuracy(k)
     psi0, psis = psf_state(grid, 0.0), psf_state(grid, k)
-    e0 = psi0 / math.sqrt(_inner(grid, psi0, psi0))
-    w = psis - _inner(grid, e0, psis) * e0
-    w = w - _inner(grid, e0, w) * e0
+    root = math.sqrt(_inner(grid, psi0, psi0))
+    e0 = [a / root for a in psi0]
+    along = _inner(grid, e0, psis)
+    w = [s - along * e for s, e in zip(psis, e0)]
+    along = _inner(grid, e0, w)
+    w = [v - along * e for v, e in zip(w, e0)]
     norm = math.sqrt(_inner(grid, w, w))
-    basis = [e0] if norm < _COLINEAR_EPS else [e0, w / norm]
-    proj0 = np.array([_inner(grid, psi0, e) for e in basis])
-    return _Sample(grid, psi0, psis, _inner(grid, psi0, psis), basis, proj0, *_separation_terms(k))
+    basis = [e0] if norm < _COLINEAR_EPS else [e0, [v / norm for v in w]]
+    return _Sample(
+        _inner(grid, psi0, psis),
+        [_inner(grid, psi0, e) for e in basis],
+        [_inner(grid, psis, e) for e in basis],
+        *_separation_terms(k),
+    )
 
 
 def _project(sample: _Sample, c: float) -> list[list[float]]:
     """Per-(k, c) stage: N*(|psi0><psi0| + |psis><psis| + c*(|psi0><psis| +
-    |psis><psi0|)) as the 1x1 or 2x2 matrix of its inner products with the
-    basis.  The caller has checked the singular point by the kernel's rule,
-    `_pair_terms` at (k, c); next to that point the quadrature's own
-    1 + delta*c can round to 0, a fault of the grid."""
-    grid, psi0, psis, basis = sample.grid, sample.psi0, sample.psis, sample.basis
+    |psis><psi0|)) as the 1x1 or 2x2 matrix of its elements between basis
+    vectors, formed from the components of psi0 and psis.  The caller has
+    checked the singular point by the kernel's rule, `_pair_terms` at
+    (k, c); next to that point the quadrature's own 1 + delta*c can round
+    to 0, a fault of the grid."""
     one_plus_dc = 1.0 + c * sample.overlap
     if not one_plus_dc > 0.0:
         raise GridAccuracyError(f"quadrature puts 1 + delta*c at {one_plus_dc!r}, not above 0")
     norm = 0.5 / one_plus_dc
-    op = []
-    for e in basis:
-        a0, a_s = _inner(grid, psi0, e), _inner(grid, psis, e)
-        op.append(norm * (psi0 * (a0 + c * a_s) + psis * (a_s + c * a0)))
-    return [[_inner(grid, e, op_e) for op_e in op] for e in basis]
+    components = list(zip(sample.proj0, sample.projs))
+    columns = [(a0 + c * a_s, a_s + c * a0) for a0, a_s in components]
+    return [[norm * (a0 * u + a_s * v) for u, v in columns] for a0, a_s in components]
 
 
 def _density(m: list[list[float]]) -> Observable2:
@@ -179,13 +197,30 @@ def _density(m: list[list[float]]) -> Observable2:
     return rho
 
 
-def _decide(m: list[list[float]], proj0: np.ndarray, p: float) -> float:
+def _eigenvalues(a: float, b: float, d: float) -> tuple[float, float]:
+    """Eigenvalues of the symmetric [[a, b], [b, d]], the larger magnitude
+    first.  That one is half the trace plus, with the trace's sign,
+    hypot(half the difference, b), a sum without cancellation; the other is
+    det/larger, so it keeps its relative accuracy when it is tiny."""
+    half_trace = 0.5 * (a + d)
+    larger = half_trace + math.copysign(math.hypot(0.5 * (a - d), b), half_trace)
+    if larger == 0.0:  # the zero matrix
+        return 0.0, 0.0
+    return larger, (a * d - b * b) / larger
+
+
+def _decide(m: list[list[float]], proj0: list[float], p: float) -> float:
     """Per-p stage.  The weighted difference operator has rank <= 2, so its
     nonzero eigenvalues are those of its projection onto the
-    orthonormalized pair, obtained here with a numerical eigensolver."""
-    lam = p * np.array(m) - np.outer((1.0 - p) * proj0, proj0)
-    lam = 0.5 * (lam + lam.T)
-    tn = float(np.sum(np.abs(np.linalg.eigvalsh(lam))))
+    orthonormalized pair, p*m - (1 - p)*|psi0><psi0| there, a 1x1 matrix
+    padded to 2x2 with zeros."""
+    q = 1.0 - p
+    lam = [[p * m_ij - q * x * y for m_ij, y in zip(row, proj0)] for row, x in zip(m, proj0)]
+    if len(lam) == 1:
+        a, b, d = lam[0][0], 0.0, 0.0
+    else:
+        a, b, d = lam[0][0], 0.5 * (lam[0][1] + lam[1][0]), lam[1][1]
+    tn = sum(map(abs, _eigenvalues(a, b, d)))
     return min(0.5, max(0.0, 0.5 * (1.0 - tn)))
 
 

@@ -382,6 +382,15 @@ class TestVerify:
         assert out == ""
         assert err == f"error: n_points must be an integer >= 2, got {int(points)}\n"
 
+    def test_grid_too_large_for_a_float_spacing_exits_2(self):
+        # refused from the count alone: a count this large cannot even give a spacing
+        points = "1" + "0" * 310
+        result = run_python("-c", ENTRY, "verify", "--grid-points", points)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: n_points too large for a floating-point grid spacing (about 1.8e308 at most)\n")
+
 
 class TestStartup:
     #: cohdet.__all__.
@@ -419,15 +428,25 @@ class TestStartup:
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "0 False"
 
+    def test_verify_does_not_load_numpy(self):
+        code = (
+            "import sys, cohdet.cli, cohdet.oracle\n"
+            "code = cohdet.cli.main(['verify'])\n"
+            "print(code, 'numpy' in sys.modules)\n"
+        )
+        result = run_python("-c", code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "0 False"
+
     def test_cli_import_skips_dataclasses(self):
         # decimal and fractions too: exact arithmetic belongs to the tests and to lazy fallbacks.
         skipped = "{'dataclasses', 'decimal', 'fractions', 'inspect'}"
-        code = f"import sys, cohdet.cli\nprint(sorted({skipped} & set(sys.modules)))\n"
+        code = f"import sys, cohdet.cli, cohdet.oracle\nprint(sorted({skipped} & set(sys.modules)))\n"
         result = run_python("-c", code)
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[]\n"
-        # numpy itself imports inspect, so only dataclasses is checked for the numpy-backed modules.
-        code = "import sys, cohdet.montecarlo, cohdet.oracle\nprint('dataclasses' in sys.modules)\n"
+        # numpy itself imports inspect, so only dataclasses is checked for the numpy-backed module.
+        code = "import sys, cohdet.montecarlo\nprint('dataclasses' in sys.modules)\n"
         result = run_python("-c", code)
         assert result.returncode == 0, result.stderr
         assert result.stdout == "False\n"

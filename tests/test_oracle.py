@@ -18,7 +18,9 @@ from cohdet import (
     overlap,
     rho2,
 )
-from cohdet.oracle import TOLERANCE, _density, psf_state
+from cohdet.oracle import TOLERANCE, _density, _eigenvalues, _inner, psf_state
+
+EPS = np.finfo(float).eps
 
 RHO2_K2_C0 = (0.6839397205857212, 0.24111416276052183, 0.31606027941427883)
 
@@ -54,10 +56,15 @@ class TestSpatialGrid:
     def test_samples_are_built_once_and_read_only(self):
         grid = SpatialGrid.for_separation(1.0)
         assert grid.weights is grid.weights and grid.xs is grid.xs
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             grid.weights[0] = 1.0
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             grid.xs[0] = 1.0
+
+    @pytest.mark.parametrize("x_min,x_max,n_points", [(-8.0, 10.0, 4001), (-8.0, 8.3, 8001), (0.0, 1.0, 2)])
+    def test_points_are_numpy_linspace(self, x_min, x_max, n_points):
+        grid = SpatialGrid(x_min, x_max, n_points)
+        assert np.array_equal(grid.xs, np.linspace(x_min, x_max, n_points))
 
 
 class TestPsfState:
@@ -65,7 +72,7 @@ class TestPsfState:
         grid = SpatialGrid.for_separation(3.0)
         for center in (0.0, 3.0):
             state = psf_state(grid, center)
-            norm = float(np.sum(state**2 * grid.weights))
+            norm = float(np.sum(np.asarray(state) ** 2 * grid.weights))
             assert norm == pytest.approx(1.0, abs=1e-10)
 
     def test_peak_sits_at_center(self):
@@ -74,7 +81,7 @@ class TestPsfState:
         assert grid.xs[int(np.argmax(state))] == pytest.approx(2.0, abs=grid.spacing)
 
     def test_center_outside_window_refused(self):
-        # every sample underflows to 0: refused before numpy divides 0 by 0
+        # every sample underflows to 0: refused before the amplitudes divide by a zero norm
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(GridAccuracyError):
@@ -144,6 +151,70 @@ class TestGridRho2:
     def test_returns_next_to_singular_point(self, k):
         # quadrature cancels next to 1 + c*delta = 0 but stays within TOLERANCE
         assert abs(grid_rho2(k, -1.0).trace() - 1.0) <= 1e-6
+
+
+class TestInner:
+    """The trapezoid rule summed exactly, against the explicit weighted products."""
+
+    @pytest.mark.parametrize("k,n_points", [(0.0, 1001), (2.5, 4001), (6.0, 8001)])
+    def test_matches_weighted_products(self, k, n_points):
+        grid = SpatialGrid.for_separation(k, n_points)
+        signed = np.random.default_rng(n_points).uniform(-1.0, 1.0, n_points).tolist()
+        vectors = (psf_state(grid, 0.0), psf_state(grid, k), signed)
+        for a in vectors:
+            for b in vectors:
+                products = [w * x * y for w, x, y in zip(grid.weights, a, b)]
+                scale = math.fsum(map(abs, products))
+                assert abs(_inner(grid, a, b) - math.fsum(products)) <= 4.0 * EPS * scale
+                assert _inner(grid, a, b) == _inner(grid, b, a)
+
+    def test_two_points_weigh_half_each(self):
+        grid = SpatialGrid(0.0, 2.0, 2)
+        assert _inner(grid, [3.0, 5.0], [7.0, 11.0]) == 0.5 * 2.0 * (21.0 + 55.0)
+
+
+class TestEigenvalues:
+    """The oracle's own 2x2 symmetric eigenvalues and trace norm, against LAPACK."""
+
+    @staticmethod
+    def check(a, b, d, rel=4.0 * EPS):
+        larger, other = _eigenvalues(a, b, d)
+        assert abs(larger) >= abs(other)
+        want = np.linalg.eigvalsh(np.array([[a, b], [b, d]]))
+        scale = max(abs(want[0]), abs(want[1]))
+        for got, expected in zip(sorted((larger, other)), want):
+            assert abs(got - expected) <= rel * scale
+        trace_norm = abs(larger) + abs(other)
+        assert abs(trace_norm - float(np.sum(np.abs(want)))) <= 2.0 * rel * scale
+
+    def test_random_symmetric_matrices(self):
+        rng = np.random.default_rng(20240817)
+        for a, b, d in rng.uniform(-1.0, 1.0, (500, 3)):
+            self.check(float(a), float(b), float(d))
+        for a, b, d in rng.normal(0.0, 1e-3, (100, 3)):
+            self.check(float(a), float(b), float(d))
+
+    @pytest.mark.parametrize("v", [(0.6, 0.8), (1.0, 0.0), (0.0, -1.0), (0.3, -0.7)])
+    def test_rank_one(self, v):
+        x, y = v
+        self.check(x * x, x * y, y * y)
+        self.check(-x * x, -x * y, -y * y)
+
+    def test_zero_matrix(self):
+        assert _eigenvalues(0.0, 0.0, 0.0) == (0.0, 0.0)
+        self.check(0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("a,b,d,tiny", [
+        (1.0, 0.0, 1e-20, 1e-20),
+        (1.0, 1e-10, 2e-20, 1e-20),
+        (-1.0, 1e-10, -2e-20, -1e-20),
+    ])
+    def test_tiny_eigenvalue_keeps_relative_accuracy(self, a, b, d, tiny):
+        # half the trace less the radius would lose it to cancellation; det/larger does not
+        larger, other = _eigenvalues(a, b, d)
+        assert other == pytest.approx(tiny, rel=1e-9)
+        want = np.linalg.eigvalsh(np.array([[a, b], [b, d]]))
+        assert other == pytest.approx(min(want, key=abs), rel=1e-12)
 
 
 class TestDensity:
