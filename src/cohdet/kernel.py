@@ -27,7 +27,9 @@ Gaussian mode and its orthogonal complement, one detector each, and takes
 a complement click as proof of the second source, with no prior at all.
 The evaluation kernel has two halves: `_pair_terms` per (delta, c) and
 `_prior_terms` per prior p, which holds the package's only copy of the
-decision arithmetic; every scalar result and every sweep row reads its record.
+decision arithmetic.  Building a `ScenarioParams` runs both once, a sweep
+runs the second once per cell, and every scalar result and sweep row reads
+its record.
 """
 
 from __future__ import annotations
@@ -135,16 +137,18 @@ class _Record:
 class ScenarioParams(_Record):
     """Physical and statistical configuration of one detection scenario.
 
-    k      source separation in units of the PSF width, >= 0
-    gamma  coherence strength between the two sources, in [0, 1]
-    theta  coherence phase in radians (stored reduced to [0, 2*pi))
-    p      prior probability that the second source exists, in [0, 1]
-    delta  overlap(k), computed at construction; not part of repr, == or hash
-    c      effective_coherence(gamma, theta), likewise
-    _pair  `_pair_terms` of (delta, 1 - delta from k, c), likewise
+    k        source separation in units of the PSF width, >= 0
+    gamma    coherence strength between the two sources, in [0, 1]
+    theta    coherence phase in radians (stored reduced to [0, 2*pi))
+    p        prior probability that the second source exists, in [0, 1]
+    delta    overlap(k), computed at construction; not part of repr, == or hash
+    c        effective_coherence(gamma, theta), likewise
+    _pair    `_pair_terms` of (delta, 1 - delta from k, c), likewise
+    _record  `_prior_terms` of (_pair, p), likewise: the scenario's one pass
+             through the kernel, which every scalar result reads
     """
 
-    __slots__ = ("k", "gamma", "theta", "p", "delta", "c", "_pair")
+    __slots__ = ("k", "gamma", "theta", "p", "delta", "c", "_pair", "_record")
     _fields = ("k", "gamma", "theta", "p")
 
     def __init__(self, k: float, gamma: float, theta: float = 0.0, p: float = 0.5) -> None:
@@ -164,10 +168,11 @@ class ScenarioParams(_Record):
         _set_delta(self, delta)
         _set_c(self, c)
         _set_pair(self, pair)
+        _set_record(self, _prior_terms(pair, p))
 
 
 # The slots' own setters, which skip the class's __setattr__ that refuses assignment.
-_set_k, _set_gamma, _set_theta, _set_p, _set_delta, _set_c, _set_pair = (
+_set_k, _set_gamma, _set_theta, _set_p, _set_delta, _set_c, _set_pair, _set_record = (
     getattr(ScenarioParams, name).__set__ for name in ScenarioParams.__slots__)
 
 
@@ -232,7 +237,7 @@ def lambda_matrix(params: ScenarioParams) -> Observable2:
     This is the operator whose trace norm fixes the minimum achievable
     error probability; its trace is 2p - 1.
     """
-    return Observable2(*_evaluate(params)[:3])
+    return tuple.__new__(Observable2, params._record[:3])
 
 
 def _prior_terms(pair: tuple[float, float, float, float, float, float], p: float) -> tuple:
@@ -245,7 +250,9 @@ def _prior_terms(pair: tuple[float, float, float, float, float, float], p: float
     so useless, det >= 0, reads p >= p* wherever p > 0 and r22 > 0; there o_err =
     d_err and a_qod = 1.  Elsewhere, with r the eigenvalue radius,
     o_err = (1 - 2r)/2 = 2p*((1 - p)*r11 + p*r22*N*(1 - c**2))/(1 + 2r).  The
-    advantages are ratios to p, finite where the errors underflow; a_d(0) = 1.
+    advantages are ratios to p, finite where the errors underflow, but inf
+    where o_err/p or r11 does, next to c = -1 at k below about 1e-157, and
+    the exact ratio overflows; a_d(0) = 1 and a_d(1) = 0.
     """
     _, r11, r12, r22, n_1mc2, p_star = pair
     a11 = p * r11 - (1.0 - p)
@@ -264,24 +271,19 @@ def _prior_terms(pair: tuple[float, float, float, float, float, float], p: float
         o_err, a_qod = d_err, 1.0
     else:
         o_err_per_p = 2.0 * ((1.0 - p) * r11 + a22 * n_1mc2) / (1.0 + 2.0 * radius)
-        o_err, a_qod = p * o_err_per_p, d_err / p / o_err_per_p
-    a_d = d_err / p / r11 if p else 1.0
+        o_err, a_qod = p * o_err_per_p, d_err / p / o_err_per_p if o_err_per_p else math.inf
+    a_d = (d_err / p / r11 if r11 else math.inf if d_err else 0.0) if p else 1.0
     return a11, a12, a22, low, high, o_err, d_err, a_qod, p * r11, a_d, useless
-
-
-def _evaluate(params: ScenarioParams) -> tuple:
-    """`_prior_terms`'s record of one scenario."""
-    return _prior_terms(params._pair, params.p)
 
 
 def helstrom_bound(params: ScenarioParams) -> float:
     """Minimum error probability over all detection strategies, in [0, 1/2]."""
-    return _evaluate(params)[5]
+    return params._record[5]
 
 
 def qod_advantage(params: ScenarioParams) -> float:
     """Ratio of the blind-guess error to the optimal-measurement error, >= 1."""
-    return _evaluate(params)[7]
+    return params._record[7]
 
 
 class BoundReport(NamedTuple):
@@ -307,10 +309,10 @@ class BoundReport(NamedTuple):
 
 
 def bound_report(params: ScenarioParams) -> BoundReport:
-    """The whole report of one scenario from one pass through the kernel."""
-    pair = params._pair
-    record = _prior_terms(pair, params.p)
-    return BoundReport(params.delta, pair[0], *record[:8], pair[5], record[10])
+    """The whole report of one scenario from its one pass through the kernel."""
+    pair, record = params._pair, params._record
+    # tuple.__new__ skips the NamedTuple's keyword-handling constructor.
+    return tuple.__new__(BoundReport, (params.delta, pair[0], *record[:8], pair[5], record[10]))
 
 
 def spade_error(delta: float, c: float, p: float) -> float:
@@ -326,4 +328,4 @@ def spade_error(delta: float, c: float, p: float) -> float:
 
 def spade_advantage(params: ScenarioParams) -> float:
     """Ratio of the blind-guess error to the mode-sorting error."""
-    return _evaluate(params)[9]
+    return params._record[9]

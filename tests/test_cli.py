@@ -391,6 +391,19 @@ class TestVerify:
         assert result.stderr == (
             "error: n_points too large for a floating-point grid spacing (about 1.8e308 at most)\n")
 
+    def test_grid_too_large_to_hold_exits_2(self):
+        # accurate enough, but refused before any of its 10**9 points is built
+        result = run_python("-c", ENTRY, "verify", "--grid-points", "1000000000")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: n_points must be at most 1000000, got 1000000000\n"
+
+    def test_one_point_too_many_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--grid-points", "1000001")
+        assert code == 2
+        assert out == ""
+        assert err == "error: n_points must be at most 1000000, got 1000001\n"
+
 
 class TestStartup:
     #: cohdet.__all__.

@@ -18,11 +18,17 @@ from cohdet import (
     overlap,
     rho2,
 )
-from cohdet.oracle import TOLERANCE, _density, _eigenvalues, _inner, psf_state
+from cohdet.oracle import MAX_POINTS, TOLERANCE, _density, _eigenvalues, _inner, psf_state
 
 EPS = np.finfo(float).eps
 
 RHO2_K2_C0 = (0.6839397205857212, 0.24111416276052183, 0.31606027941427883)
+
+
+def trapezoid_weights(grid):
+    """The trapezoid rule's weights on `grid`: the spacing, halved at both ends."""
+    step = grid.spacing
+    return [0.5 * step] + [step] * (grid.n_points - 2) + [0.5 * step]
 
 
 class TestSpatialGrid:
@@ -51,15 +57,32 @@ class TestSpatialGrid:
 
     def test_weights_integrate_to_window_length(self):
         grid = SpatialGrid.for_separation(0.0, n_points=1601)
-        assert float(np.sum(grid.weights)) == pytest.approx(16.0, rel=1e-12)
+        assert float(np.sum(trapezoid_weights(grid))) == pytest.approx(16.0, rel=1e-12)
 
     def test_samples_are_built_once_and_read_only(self):
         grid = SpatialGrid.for_separation(1.0)
-        assert grid.weights is grid.weights and grid.xs is grid.xs
-        with pytest.raises(TypeError):
-            grid.weights[0] = 1.0
+        # The points are the one sample a grid keeps: `_inner` needs no weights.
+        assert not hasattr(grid, "weights") and grid.xs is grid.xs
         with pytest.raises(TypeError):
             grid.xs[0] = 1.0
+
+    def test_largest_grid_is_sampled(self):
+        grid = SpatialGrid(-8.0, 8.0, MAX_POINTS)
+        assert len(grid.xs) == MAX_POINTS and grid.xs[-1] == 8.0
+
+    @pytest.mark.parametrize("n_points", [MAX_POINTS + 1, 10**9, 10**300])
+    def test_more_points_are_refused_before_sampling(self, n_points):
+        message = f"n_points must be at most {MAX_POINTS}, got {n_points}$"
+        grid = SpatialGrid.for_separation(1.0, n_points)
+        grid.require_accuracy(1.0)  # accurate enough, but too large to hold
+        with pytest.raises(DomainError, match=message):
+            grid.xs
+        with pytest.raises(DomainError, match=message):
+            psf_state(grid, 0.0)
+        with pytest.raises(DomainError, match=message):
+            grid_overlap(1.0, grid)
+        with pytest.raises(DomainError, match=message):
+            equivalence_report(n_points=n_points)
 
     @pytest.mark.parametrize("x_min,x_max,n_points", [(-8.0, 10.0, 4001), (-8.0, 8.3, 8001), (0.0, 1.0, 2)])
     def test_points_are_numpy_linspace(self, x_min, x_max, n_points):
@@ -72,7 +95,7 @@ class TestPsfState:
         grid = SpatialGrid.for_separation(3.0)
         for center in (0.0, 3.0):
             state = psf_state(grid, center)
-            norm = float(np.sum(np.asarray(state) ** 2 * grid.weights))
+            norm = float(np.sum(np.asarray(state) ** 2 * trapezoid_weights(grid)))
             assert norm == pytest.approx(1.0, abs=1e-10)
 
     def test_peak_sits_at_center(self):
@@ -163,7 +186,7 @@ class TestInner:
         vectors = (psf_state(grid, 0.0), psf_state(grid, k), signed)
         for a in vectors:
             for b in vectors:
-                products = [w * x * y for w, x, y in zip(grid.weights, a, b)]
+                products = [w * x * y for w, x, y in zip(trapezoid_weights(grid), a, b)]
                 scale = math.fsum(map(abs, products))
                 assert abs(_inner(grid, a, b) - math.fsum(products)) <= 4.0 * EPS * scale
                 assert _inner(grid, a, b) == _inner(grid, b, a)

@@ -3,11 +3,15 @@ evaluation of the closed forms that raises its precision to cover the
 cancellations it meets.  o_err, a_qod, p_err_spade and a_d agree to 1e-13
 relative over the admissible domain and its edges: priors down to 1e-300,
 separations down to 1e-8, and coherence next to the singular point
-delta*c = -1.  The reference is loaded by path and only read."""
+delta*c = -1, down to k = 1e-9 there: below it the reference's precision
+rule falls short of the digits that 1 + delta**2 + 2*delta*c loses, so no
+relative agreement is asserted, only the values the kernel must give where
+its ratios overflow.  The reference is loaded by path and only read."""
 
 import contextlib
 import importlib.util
 import io
+import json
 import math
 import sys
 
@@ -17,9 +21,8 @@ from hypothesis import strategies as st
 
 from conftest import ROOT
 
-from cohdet import ScenarioParams, bound_report
+from cohdet import ScenarioParams, bound_report, spade_advantage
 from cohdet.cli import main
-from cohdet.kernel import _evaluate
 
 
 def _load_reference():
@@ -43,7 +46,7 @@ def check_scenario(k, gamma, p, theta=0.0, theta_pi=None):
     theta radians, or theta_pi*pi as `--theta-pi` gives it."""
     phase = theta_pi * math.pi if theta_pi is not None else theta
     params = ScenarioParams(k=k, gamma=gamma, theta=phase, p=p)
-    record, report = _evaluate(params), bound_report(params)
+    record, report = params._record, bound_report(params)
     ref = reference.evaluate(k, p, gamma, theta, theta_pi)
     for name, index in QUANTITIES.items():
         assert record[index] == pytest.approx(ref.values[name], rel=RTOL, abs=0), name
@@ -105,6 +108,44 @@ def _scenario(flags):
     given_ = dict(zip(flags[::2], map(float, flags[1::2])))
     return (given_["--k"], given_["--gamma"], given_.get("--p", 0.5), given_.get("--theta", 0.0),
             given_.get("--theta-pi"))
+
+
+#: Scenarios next to c = -1 where o_err/p underflows to 0, so that `cohdet
+#: bound` used to end in a ZeroDivisionError: (k, p) at gamma = 1, theta = pi.
+#: The exact a_qod overflows.  r11 = (1 - delta)/2 underflows to 0 at the
+#: first, and a_d overflows; at the second it is a subnormal 6.7e-316 and
+#: a_d = 6.13e300, where the reference's precision falls short and gives inf.
+UNDERFLOWS = [(7.4e-162, 0.12, math.inf), (1.0354673959404709e-157, 0.9999999999999959, 6.12998030465962e300)]
+
+
+@pytest.mark.parametrize("k, p, a_d", UNDERFLOWS)
+def test_underflowed_divisor_gives_inf(k, p, a_d):
+    params = ScenarioParams(k=k, gamma=1.0, theta=math.pi, p=p)
+    report = bound_report(params)
+    assert report.o_err == 0.0 and report.a_qod == math.inf
+    assert not report.useless and report.d_err == min(p, 1.0 - p)
+    # a_d from a subnormal r11 keeps about 27 bits.
+    assert spade_advantage(params) == pytest.approx(a_d, rel=1e-8)
+    ref = reference.evaluate(k, p, 1.0, 0.0, 1.0)
+    assert (ref.values["o_err"], ref.values["a_qod"], ref.useless) == (0.0, math.inf, False)
+
+
+@pytest.mark.parametrize("k, p", [(k, p) for k, p, _ in UNDERFLOWS])
+def test_bound_prints_the_underflowed_points(k, p):
+    flags = ["--k", repr(k), "--gamma", "1", "--theta-pi", "1", "--p", repr(p)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["bound", *flags, "--format", "json"]) == 0
+    printed = json.loads(out.getvalue())
+    assert printed["o_err"] == 0.0 and printed["a_qod"] is None and printed["useless"] is False
+
+
+@pytest.mark.parametrize("p, a_d", [(0.0, 1.0), (0.5, math.inf), (1.0, 0.0)])
+def test_underflowed_sorter_advantage_at_the_ends(p, a_d):
+    # r11 = 0 at every prior here: a_d keeps its conventions at p = 0 and,
+    # with d_err = 0, its exact value 0 at p = 1.
+    params = ScenarioParams(k=7.4e-162, gamma=1.0, theta=math.pi, p=p)
+    assert params._pair[1] == 0.0 and spade_advantage(params) == a_d
 
 
 @pytest.mark.parametrize("flags", EDGES)

@@ -1,7 +1,8 @@
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 
 from conftest import admissible_delta_c, finite_floats, linspace, scenario_params
 
@@ -53,10 +54,12 @@ class TestSpadeError:
         assert spade_error(delta, c, p) == p * miss
 
     @given(admissible_delta_c())
+    @example((0.9983457276806822, -1.0))  # 1 + delta**2 + 2*delta*c cancels in floats
     def test_even_prior_closed_form(self, delta_c):
-        delta, c = delta_c
-        reference = (1.0 + delta * delta + 2.0 * delta * c) / (4.0 * (1.0 + delta * c))
-        assert spade_error(delta, c, 0.5) == pytest.approx(reference, abs=1e-15)
+        # The closed form in exact rationals: in floats it loses digits near c = -1.
+        delta, c = map(Fraction, delta_c)
+        reference = float((1 + delta * delta + 2 * delta * c) / (4 * (1 + delta * c)))
+        assert spade_error(*delta_c, 0.5) == pytest.approx(reference, abs=1e-15)
 
     @given(finite_floats(0.05, 0.95), finite_floats(-0.99, 0.99), finite_floats(-0.99, 0.99))
     def test_out_of_phase_coherence_helps(self, delta, c_a, c_b):

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import example, given
@@ -15,13 +17,17 @@ from cohdet import (
     SweepSpec,
     TrialConfig,
     bound_report,
+    helstrom_bound,
     lambda_matrix,
     overlap,
+    qod_advantage,
     rho2,
     run_simulation,
+    spade_advantage,
     sweep_rows,
 )
-from cohdet.kernel import _pair_terms, effective_coherence
+import cohdet.kernel
+from cohdet.kernel import BoundReport, _pair_terms, _prior_terms, effective_coherence
 
 # Frozen reference values, confirmed against the spatial-grid oracle before
 # being written down here (see test_oracle.py for the independent path).
@@ -94,7 +100,7 @@ class TestCountChecks:
     USES = {
         "k_steps": sweep_rows,
         "p_steps": sweep_rows,
-        "n_points": lambda grid: grid.weights,
+        "n_points": lambda grid: grid.xs,
         "n_photons": run_simulation,
         "seed": run_simulation,
     }
@@ -284,7 +290,51 @@ class TestScenarioParams:
         assert hash(params) == hash((params.k, params.gamma, params.theta, params.p))
         object.__setattr__(twin, "delta", 0.0)
         object.__setattr__(twin, "c", 0.0)
+        object.__setattr__(twin, "_pair", ())
+        object.__setattr__(twin, "_record", ())
         assert twin == params and hash(twin) == hash(params) and repr(twin) == repr(params)
+
+    @pytest.fixture
+    def kernel_passes(self, monkeypatch):
+        """A list that records the prior of every `_prior_terms` call."""
+        calls = []
+
+        def counted(pair, p):
+            calls.append(p)
+            return _prior_terms(pair, p)
+
+        monkeypatch.setattr(cohdet.kernel, "_prior_terms", counted)
+        return calls
+
+    ACCESSORS = (bound_report, helstrom_bound, qod_advantage, lambda_matrix, spade_advantage)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(k=1.5, gamma=0.25, theta=7.0, p=0.125),
+        dict(k=0.0, gamma=0.4, theta=1.0, p=0.0),
+        dict(k=7.4e-162, gamma=1.0, theta=math.pi, p=0.12),  # o_err/p and r11 underflow to 0
+    ])
+    def test_one_kernel_pass_per_scenario(self, kernel_passes, kwargs):
+        params = ScenarioParams(**kwargs)
+        assert kernel_passes == [kwargs["p"]]
+        results = [accessor(params) for accessor in self.ACCESSORS]
+        assert kernel_passes == [kwargs["p"]]
+        record = _prior_terms(params._pair, params.p)
+        assert params._record == record
+        report = results[0]
+        assert type(report) is BoundReport and type(results[3]) is Observable2
+        assert tuple(report) == (params.delta, params._pair[0], *record[:8], params._pair[5], record[10])
+        assert results[1:] == [record[5], record[7], Observable2(*record[:3]), record[9]]
+
+    @pytest.mark.parametrize("rebuild", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))])
+    def test_copies_rebuild_from_the_four_inputs(self, kernel_passes, rebuild):
+        params = ScenarioParams(k=1.5, gamma=0.25, theta=7.0, p=0.125)
+        twin = rebuild(params)
+        # Rebuilt through __init__ from (k, gamma, theta, p): one more kernel pass.
+        assert kernel_passes == [0.125, 0.125]
+        assert twin is not params and twin == params and hash(twin) == hash(params)
+        assert twin._pair == params._pair and twin._record == params._record
+        other = ScenarioParams(k=1.5, gamma=0.25, theta=7.0, p=0.25)
+        assert other != params and other._pair == params._pair
 
     @given(scenario_params())
     def test_derived_values_equal_the_public_functions(self, params):

@@ -23,7 +23,6 @@ from cohdet import (
     spade_advantage,
     sweep_rows,
 )
-from cohdet.kernel import _evaluate
 from cohdet.sweeps import SweepRow, _blocks, format_sig, stream_sweep
 
 COLUMNS = CSV_HEADER.split(",")
@@ -318,7 +317,7 @@ class TestFastPath:
             assert row == SweepRow(
                 row.k, row.p, spec.gamma, spec.theta, params.delta,
                 report.o_err, report.d_err, report.a_qod,
-                _evaluate(params)[8], spade_advantage(params),
+                params._record[8], spade_advantage(params),
                 report.useless, False,
             )
 
