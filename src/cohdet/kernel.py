@@ -41,6 +41,7 @@ from typing import NamedTuple
 from .errors import DegenerateScenarioError, DomainError
 
 _TWO_PI = 2.0 * math.pi
+_hypot, _inf = math.hypot, math.inf
 
 
 def _require_in(lo: float, hi: float, what: str) -> Callable[[float], None]:
@@ -250,30 +251,38 @@ def _prior_terms(pair: tuple[float, float, float, float, float, float], p: float
     so useless, det >= 0, reads p >= p* wherever p > 0 and r22 > 0; there o_err =
     d_err and a_qod = 1.  Elsewhere, with r the eigenvalue radius,
     o_err = (1 - 2r)/2 = 2p*((1 - p)*r11 + p*r22*N*(1 - c**2))/(1 + 2r).  The
-    advantages are ratios to p, finite where the errors underflow, but inf
-    where o_err/p or r11 does, next to c = -1 at k below about 1e-157, and
-    the exact ratio overflows; a_d(0) = 1 and a_d(1) = 0.
+    advantages are (d_err/p)/(o_err/p) and (d_err/p)/r11, finite where the
+    errors underflow, but inf where o_err/p or r11 does, next to c = -1 at k
+    below about 1e-157, and the exact ratio overflows; a_d(0) = 1 and
+    a_d(1) = 0.  Below p = 1/2, d_err/p is 1 exactly, so a_d = 1/r11 there.
     """
     _, r11, r12, r22, n_1mc2, p_star = pair
-    a11 = p * r11 - (1.0 - p)
+    q = 1.0 - p
+    p_r11 = p * r11
+    a11 = p_r11 - q
     a12 = p * r12
     a22 = p * r22
-    half_trace = p - 0.5
-    radius = math.hypot(0.5 * (a11 - a22), a12)
+    radius = _hypot(0.5 * (a11 - a22), a12)
     det = a22 * (p - p_star) * (1.0 + n_1mc2)
-    # The eigenvalue of larger magnitude, then the other as det over it (0 where Lambda is 0).
-    larger = half_trace + math.copysign(radius, half_trace)
-    other = det / larger if larger else 0.0
-    low, high = (larger, other) if half_trace < 0.0 else (other, larger)
-    d_err = min(p, 1.0 - p)
+    # The trace is 2p - 1, so the eigenvalues are p - 1/2 -+ radius: the one of
+    # larger magnitude has the sign of p - 1/2, and the other is det over it
+    # (0 where Lambda is 0).  p < q is p < 1/2, where d_err = p.
+    if p < q:
+        d_err, ratio = p, 1.0
+        low = p - 0.5 - radius
+        high = det / low
+    else:
+        d_err, ratio = q, q / p
+        high = p - 0.5 + radius
+        low = det / high if high else 0.0
     useless = det >= 0.0
     if useless:
         o_err, a_qod = d_err, 1.0
     else:
-        o_err_per_p = 2.0 * ((1.0 - p) * r11 + a22 * n_1mc2) / (1.0 + 2.0 * radius)
-        o_err, a_qod = p * o_err_per_p, d_err / p / o_err_per_p if o_err_per_p else math.inf
-    a_d = (d_err / p / r11 if r11 else math.inf if d_err else 0.0) if p else 1.0
-    return a11, a12, a22, low, high, o_err, d_err, a_qod, p * r11, a_d, useless
+        o_err_per_p = 2.0 * (q * r11 + a22 * n_1mc2) / (1.0 + 2.0 * radius)
+        o_err, a_qod = p * o_err_per_p, ratio / o_err_per_p if o_err_per_p else _inf
+    a_d = (ratio / r11 if r11 else _inf if d_err else 0.0) if p else 1.0
+    return a11, a12, a22, low, high, o_err, d_err, a_qod, p_r11, a_d, useless
 
 
 def helstrom_bound(params: ScenarioParams) -> float:
@@ -323,7 +332,7 @@ def spade_error(delta: float, c: float, p: float) -> float:
     Gaussian mode.
     """
     _require_prior(p)
-    return _prior_terms(_admissible_pair(delta, c), p)[8]
+    return p * _admissible_pair(delta, c)[1]
 
 
 def spade_advantage(params: ScenarioParams) -> float:

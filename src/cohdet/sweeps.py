@@ -9,7 +9,11 @@ regression tests.
 `stream_sweep` runs the kernel and renders as it goes, one chunk of text per
 separation, so a sweep of any size writes in the memory of one grid row;
 `sweep_rows` with `render_csv` or `render_json` gives the same text from a
-list of rows.  Both render through `_render`, the one copy of the line layout.
+list of rows.  Both render through `_render`, the one copy of the line layout,
+which formats a value once where the grid repeats it exactly: p and d_err
+once per spec, k and delta once per separation, and o_err, a_qod and a_d not
+where they repeat d_err or the previous cell's value: the golden map formats
+2.9 values per cell for its 10 numeric columns.
 """
 
 from __future__ import annotations
@@ -75,18 +79,24 @@ def format_sig(x: float) -> str:
     return f"{x:.{8 - exponent}f}"
 
 
+def _json_number(x: float) -> str:
+    """format_sig, or null for a non-finite x, which JSON has no token for."""
+    return format_sig(x) if math.isfinite(x) else "null"
+
+
 def formatter(as_json: bool = False) -> Callable[[object], str]:
     """The token function of one rendering (sweep CSV or JSON, `bound`):
     format_sig, where None is an empty cell and a non-finite number stays as
     it is, except in JSON, which has no token for either and gets null."""
+    number = _json_number if as_json else format_sig
     missing = "null" if as_json else ""
 
     def token(value: object) -> str:
         if value is True or value is False:
             return "true" if value else "false"
-        if value is None or as_json and not math.isfinite(value):
+        if value is None:
             return missing
-        return format_sig(value)
+        return number(value)
 
     return token
 
@@ -200,39 +210,56 @@ _JSON = (
     "[\n", tuple(f'{", " if i else "  {"}"{name}": ' for i, name in enumerate(COLUMNS)),
     "}", ",\n", "\n]\n",
 )
-_USELESS = "false", "true"
 
 
-def _render(blocks: Iterable[tuple], as_json: bool) -> Iterator[str]:
-    """The text of a sweep, one chunk per block.  Within a block, k and delta
-    are formatted once, and the results once per cell; the p and d_err tokens
-    once per run of blocks with equal priors, which is every block of a spec."""
-    token = formatter(as_json)
+def _render(
+    blocks: Iterable[tuple], as_json: bool, number: Callable[[float], str] | None = None,
+) -> Iterator[str]:
+    """The text of a sweep, one chunk per block, with numbers formatted by
+    `number`: by default format_sig, and in JSON null where not finite.
+
+    Each value is formatted once where the grid repeats it: k and delta once
+    per block; p and d_err once per run of blocks with equal priors, which is
+    every block of a spec; o_err not at all where it equals d_err (the
+    useless region); a_qod and a_d only where they differ from the previous
+    cell's (a_qod = 1 across the useless region, a_d = 1/r11 for every
+    p < 1/2).  Equal floats print equal tokens, -0.0 and 0.0 included, and
+    NaN equals nothing, so the text is that of formatting every value."""
+    number = number or (_json_number if as_json else format_sig)
     opening, before, end, sep, closing = _JSON if as_json else _CSV
     b_k, b_p, b_gamma, b_theta, b_delta, b_o, b_d, b_a, b_pe, b_ad, b_u = before
-    missing = token(None)
+    missing = "null" if as_json else ""
     sentinel = f'"{DEGENERATE_SENTINEL}"' if as_json else DEGENERATE_SENTINEL
     no_results = "".join(f"{b}{missing}" for b in (b_o, b_d, b_a, b_pe, b_ad)) + f"{b_u}{sentinel}{end}"
+    useless_ends = f"{b_u}false{end}", f"{b_u}true{end}"
     yield opening
     lead = ""  # what goes before a block: sep, from the second block on
-    last_ps = p_tokens = d_tokens = None
+    last_ps = p_tokens = d_cells = None
+    last_a = last_ad = math.nan  # the previous cell's a_qod and a_d
     for k, gamma, theta, delta, ps, records in blocks:
         if ps != last_ps:
-            last_ps, p_tokens, d_tokens = ps, [token(p) for p in ps], None
-        head = f"{b_k}{token(k)}{b_p}"
-        coherence = f"{b_gamma}{token(gamma)}{b_theta}{token(theta)}{b_delta}"
+            last_ps, p_tokens, d_cells = ps, [number(p) for p in ps], None
+        head = f"{b_k}{number(k)}{b_p}"
+        coherence = f"{b_gamma}{number(gamma)}{b_theta}{number(theta)}{b_delta}"
         if records is None:
             tail = f"{coherence}{missing}{no_results}"
             lines = [f"{head}{p}{tail}" for p in p_tokens]
         else:
-            if d_tokens is None:  # d_err = min(p, 1 - p) depends on the prior alone
-                d_tokens = [f"{b_d}{token(record[6])}{b_a}" for record in records]
-            mid = f"{coherence}{token(delta)}{b_o}"
-            lines = [
-                f"{head}{p}{mid}{token(r[5])}{d}{token(r[7])}{b_pe}{token(r[8])}"
-                f"{b_ad}{token(r[9])}{b_u}{_USELESS[r[10]]}{end}"
-                for p, d, r in zip(p_tokens, d_tokens, records)
-            ]
+            if d_cells is None:  # d_err = min(p, 1 - p) depends on the prior alone
+                d_cells = []
+                for record in records:
+                    d_token = number(record[6])
+                    d_cells.append((record[6], d_token, f"{b_d}{d_token}{b_a}"))
+            mid = f"{coherence}{number(delta)}{b_o}"
+            lines = []
+            for p, (d_err, d_token, d_cell), r in zip(p_tokens, d_cells, records):
+                if r[7] != last_a:
+                    last_a, a_cell = r[7], f"{number(r[7])}{b_pe}"
+                if r[9] != last_ad:
+                    last_ad, ad_cell = r[9], f"{b_ad}{number(r[9])}"
+                o_token = d_token if r[5] == d_err else number(r[5])
+                lines.append(
+                    f"{head}{p}{mid}{o_token}{d_cell}{a_cell}{number(r[8])}{ad_cell}{useless_ends[r[10]]}")
         yield lead + sep.join(lines)
         lead = sep
     yield closing
@@ -244,13 +271,24 @@ def stream_sweep(spec: SweepSpec, as_json: bool = False) -> Iterator[str]:
     return _render(_blocks(spec), as_json)
 
 
+def _render_rows(rows: Iterable[SweepRow], as_json: bool) -> str:
+    """The text of `rows`.  A number function fails on None, which only a
+    hand-built row holds outside the degenerate ones; such rows are rendered
+    again through `formatter`, which prints None as an empty value."""
+    rows = list(rows)
+    try:
+        return "".join(_render(_row_blocks(rows), as_json))
+    except TypeError:
+        return "".join(_render(_row_blocks(rows), as_json, formatter(as_json)))
+
+
 def render_csv(rows: Iterable[SweepRow]) -> str:
     """UTF-8/LF CSV text; no field ever needs quoting."""
-    return "".join(_render(_row_blocks(rows), as_json=False))
+    return _render_rows(rows, as_json=False)
 
 
 def render_json(rows: Iterable[SweepRow]) -> str:
     """JSON array of row objects using the same fixed decimal tokens as the
     CSV rendering (strings for the sentinel column, numbers elsewhere, null
     for an empty or non-finite value)."""
-    return "".join(_render(_row_blocks(rows), as_json=True))
+    return _render_rows(rows, as_json=True)

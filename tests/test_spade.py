@@ -15,6 +15,7 @@ from cohdet import (
     spade_advantage,
     spade_error,
 )
+from cohdet.kernel import _pair_terms, _prior_terms
 
 P_ERR_K2 = 0.3419698602928606
 A_D_K2 = 1.4621171572600098
@@ -52,6 +53,14 @@ class TestSpadeError:
         delta, c = delta_c
         miss = spade_error(delta, c, 1.0)
         assert spade_error(delta, c, p) == p * miss
+
+    @given(admissible_delta_c(), finite_floats(0.0, 1.0))
+    @example((1.0, 0.3), 0.0)
+    @example((0.5, 0.0), 1.0)
+    def test_equals_the_kernel_record(self, delta_c, p):
+        delta, c = delta_c
+        record = _prior_terms(_pair_terms(delta, 1.0 - delta, c), p)
+        assert spade_error(delta, c, p).hex() == record[8].hex()
 
     @given(admissible_delta_c())
     @example((0.9983457276806822, -1.0))  # 1 + delta**2 + 2*delta*c cancels in floats

@@ -23,6 +23,7 @@ from cohdet import (
     spade_advantage,
     sweep_rows,
 )
+import cohdet.sweeps
 from cohdet.sweeps import SweepRow, _blocks, format_sig, stream_sweep
 
 COLUMNS = CSV_HEADER.split(",")
@@ -325,6 +326,11 @@ class TestFastPath:
     @example(SweepSpec(0.0, 1e-3, 3, 0.0, 1.0, 7, gamma=1.0, theta=math.pi))
     @example(SweepSpec(10.0, 12.0, 3, 1e-300, 1e-300, 1, gamma=0.4, theta=1.0))
     @example(SweepSpec(0.5, 4.0, 5, 0.3, 0.3, 1, gamma=0.9, theta=math.pi))
+    # Each reuse of a token: the useless tail (o_err = d_err, a_qod = 1), the
+    # p <= 1/2 half (a_d = 1/r11), and a run of inf (CSV) and null (JSON).
+    @example(SweepSpec(0.1, 0.3, 3, 0.0, 1.0, 41, gamma=0.9, theta=math.pi))
+    @example(SweepSpec(1.0, 4.0, 4, 0.0, 0.5, 26, gamma=0.3, theta=1.0))
+    @example(SweepSpec(1e-160, 1e-160, 1, 0.1, 0.9, 5, gamma=1.0, theta=math.pi))
     def test_rendering_equals_cell_by_cell_format_sig(self, spec):
         rows = sweep_rows(spec)
         csv, text = _reference_csv(rows), _reference_json(rows)
@@ -351,6 +357,62 @@ class TestFastPath:
         assert len(distinct) > 12_000
         assert render_csv(rows) == _reference_csv(rows) == "".join(stream_sweep(spec))
         assert render_json(rows) == _reference_json(rows)
+
+    def test_at_most_three_formatted_values_per_cell(self, monkeypatch):
+        # The golden map formats 4.06 values per cell when every result is
+        # formatted, and 2.91 with the repeats reused.
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return format_sig(x)
+
+        monkeypatch.setattr(cohdet.sweeps, "format_sig", counted)
+        spec = SweepSpec(0.0, 5.0, 101, 0.0, 1.0, 101, gamma=0.1, theta=0.0)
+        cells = 101 * 101
+        "".join(stream_sweep(spec))
+        assert len(calls) <= 3 * cells
+        calls.clear()
+        render_csv(sweep_rows(spec))
+        assert len(calls) <= 3 * cells
+
+    def test_hand_built_rows_with_empty_results(self):
+        # Rows the kernel never makes: None results in non-degenerate rows
+        # print as empty cells (CSV) and null (JSON).
+        rows = [
+            SweepRow(1.0, 0.25, 0.3, 0.0, 0.9, None, 0.25, None, None, None, False),
+            SweepRow(1.0, 0.75, 0.3, 0.0, 0.9, 0.25, 0.25, 1.0, None, math.inf, True),
+            SweepRow(2.0, 0.25, 0.3, 0.0, None, 0.1, 0.25, 2.0, 0.05, None, False),
+            SweepRow(2.0, 0.75, 0.3, 0.0, None, None, 0.25, 2.0, math.nan, 4.0, True),
+        ]
+        assert render_csv(rows) == (
+            CSV_HEADER + "\n"
+            "1.00000000,0.250000000,0.300000000,0.00000000,0.900000000,,0.250000000,,,,false\n"
+            "1.00000000,0.750000000,0.300000000,0.00000000,0.900000000,0.250000000,0.250000000,1.00000000,,inf,true\n"
+            "2.00000000,0.250000000,0.300000000,0.00000000,,0.100000000,0.250000000,2.00000000,0.0500000000,,false\n"
+            "2.00000000,0.750000000,0.300000000,0.00000000,,,0.250000000,2.00000000,nan,4.00000000,true\n"
+        )
+        head = '"k": {}, "p": {}, "gamma": 0.300000000, "theta": 0.00000000'
+        assert render_json(rows) == (
+            "[\n"
+            "  {" + head.format("1.00000000", "0.250000000") + ', "delta": 0.900000000, "o_err": null, '
+            '"d_err": 0.250000000, "a_qod": null, "p_err_spade": null, "a_d": null, "useless": false},\n'
+            "  {" + head.format("1.00000000", "0.750000000") + ', "delta": 0.900000000, "o_err": 0.250000000, '
+            '"d_err": 0.250000000, "a_qod": 1.00000000, "p_err_spade": null, "a_d": null, "useless": true},\n'
+            "  {" + head.format("2.00000000", "0.250000000") + ', "delta": null, "o_err": 0.100000000, '
+            '"d_err": 0.250000000, "a_qod": 2.00000000, "p_err_spade": 0.0500000000, "a_d": null, "useless": false},\n'
+            "  {" + head.format("2.00000000", "0.750000000") + ', "delta": null, "o_err": null, '
+            '"d_err": 0.250000000, "a_qod": 2.00000000, "p_err_spade": null, "a_d": 4.00000000, "useless": true}\n'
+            "]\n"
+        )
+
+    def test_reused_non_finite_tokens(self):
+        # At k = 1e-160 next to delta*c = -1 every a_qod and a_d is inf.
+        spec = SweepSpec(1e-160, 1e-160, 1, 0.1, 0.9, 5, gamma=1.0, theta=math.pi)
+        cells = [line.split(",") for line in "".join(stream_sweep(spec)).split("\n")[1:-1]]
+        assert [(cell[7], cell[9]) for cell in cells] == [("inf", "inf")] * 5
+        payload = json.loads("".join(stream_sweep(spec, as_json=True)), parse_constant=_reject_constant)
+        assert [(row["a_qod"], row["a_d"]) for row in payload] == [(None, None)] * 5
 
     def test_json_prints_non_finite_as_null(self):
         # At k = 1e-160 next to delta*c = -1, 1 + delta*c = k**2/8 is subnormal
