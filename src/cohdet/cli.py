@@ -20,7 +20,7 @@ import sys
 
 from .errors import DegenerateScenarioError, DomainError, GridAccuracyError
 from .kernel import ScenarioParams, bound_report
-from .sweeps import SweepSpec, formatter, stream_sweep
+from .sweeps import SweepSpec, _json_number, format_sig, stream_sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -73,10 +73,10 @@ def _scenario(ns: argparse.Namespace) -> ScenarioParams:
 
 
 def _print_record(fields: list[tuple[str, object]], as_json: bool) -> None:
-    """One record, as JSON or as `key = value` lines; counts print as
-    integers and every other value through the sweeps' token function."""
-    token = formatter(as_json)
-    tokens = [(key, str(value) if type(value) is int else token(value)) for key, value in fields]
+    """One record, as JSON or as `key = value` lines, with the sweeps' number
+    tokens; a count prints as an integer and a bool as true or false."""
+    number = _json_number if as_json else format_sig
+    tokens = [(key, str(value).lower() if isinstance(value, int) else number(value)) for key, value in fields]
     if as_json:
         print("{" + ", ".join(f'"{key}": {text}' for key, text in tokens) + "}")
     else:

@@ -9,9 +9,10 @@ regression tests.
 `stream_sweep` runs the kernel and renders as it goes, one chunk of text per
 separation, so a sweep of any size writes in the memory of one grid row;
 `sweep_rows` with `render_csv` or `render_json` gives the same text from a
-list of rows.  Both render through `_render`, the one copy of the line layout,
-which formats a value once where the grid repeats it exactly: p and d_err
-once per spec, k and delta once per separation, and o_err, a_qod and a_d not
+list of rows, each holding a number in every numeric field unless degenerate.
+Both render through `_render`, the one renderer, which formats a value once
+where the grid repeats it exactly: p once per spec, d_err once per run of
+equal values, k and delta once per separation, and o_err, a_qod and a_d not
 where they repeat d_err or the previous cell's value: the golden map formats
 2.9 values per cell for its 10 numeric columns.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
@@ -82,23 +83,6 @@ def format_sig(x: float) -> str:
 def _json_number(x: float) -> str:
     """format_sig, or null for a non-finite x, which JSON has no token for."""
     return format_sig(x) if math.isfinite(x) else "null"
-
-
-def formatter(as_json: bool = False) -> Callable[[object], str]:
-    """The token function of one rendering (sweep CSV or JSON, `bound`):
-    format_sig, where None is an empty cell and a non-finite number stays as
-    it is, except in JSON, which has no token for either and gets null."""
-    number = _json_number if as_json else format_sig
-    missing = "null" if as_json else ""
-
-    def token(value: object) -> str:
-        if value is True or value is False:
-            return "true" if value else "false"
-        if value is None:
-            return missing
-        return number(value)
-
-    return token
 
 
 def _linspace(lo: float, hi: float, n: int) -> Iterator[float]:
@@ -212,20 +196,20 @@ _JSON = (
 )
 
 
-def _render(
-    blocks: Iterable[tuple], as_json: bool, number: Callable[[float], str] | None = None,
-) -> Iterator[str]:
-    """The text of a sweep, one chunk per block, with numbers formatted by
-    `number`: by default format_sig, and in JSON null where not finite.
+def _render(blocks: Iterable[tuple], as_json: bool) -> Iterator[str]:
+    """The text of a sweep, one chunk per block, every number formatted by
+    format_sig, or in JSON by `_json_number`; a None result in a block that
+    is not degenerate raises TypeError.
 
     Each value is formatted once where the grid repeats it: k and delta once
-    per block; p and d_err once per run of blocks with equal priors, which is
-    every block of a spec; o_err not at all where it equals d_err (the
-    useless region); a_qod and a_d only where they differ from the previous
-    cell's (a_qod = 1 across the useless region, a_d = 1/r11 for every
-    p < 1/2).  Equal floats print equal tokens, -0.0 and 0.0 included, and
-    NaN equals nothing, so the text is that of formatting every value."""
-    number = number or (_json_number if as_json else format_sig)
+    per block; p once per run of blocks with equal priors and d_err once per
+    run with equal d_err values, each every block of a spec; o_err not at all
+    where it equals d_err (the useless region); a_qod and a_d only where they
+    differ from the previous cell's (a_qod = 1 across the useless region,
+    a_d = 1/r11 for every p < 1/2).  Equal floats print equal tokens, -0.0
+    and 0.0 included, and NaN equals nothing, so the text is that of
+    formatting every value."""
+    number = _json_number if as_json else format_sig
     opening, before, end, sep, closing = _JSON if as_json else _CSV
     b_k, b_p, b_gamma, b_theta, b_delta, b_o, b_d, b_a, b_pe, b_ad, b_u = before
     missing = "null" if as_json else ""
@@ -234,22 +218,20 @@ def _render(
     useless_ends = f"{b_u}false{end}", f"{b_u}true{end}"
     yield opening
     lead = ""  # what goes before a block: sep, from the second block on
-    last_ps = p_tokens = d_cells = None
+    last_ps = p_tokens = last_ds = d_cells = None
     last_a = last_ad = math.nan  # the previous cell's a_qod and a_d
     for k, gamma, theta, delta, ps, records in blocks:
         if ps != last_ps:
-            last_ps, p_tokens, d_cells = ps, [number(p) for p in ps], None
+            last_ps, p_tokens = ps, [number(p) for p in ps]
         head = f"{b_k}{number(k)}{b_p}"
         coherence = f"{b_gamma}{number(gamma)}{b_theta}{number(theta)}{b_delta}"
         if records is None:
             tail = f"{coherence}{missing}{no_results}"
             lines = [f"{head}{p}{tail}" for p in p_tokens]
         else:
-            if d_cells is None:  # d_err = min(p, 1 - p) depends on the prior alone
-                d_cells = []
-                for record in records:
-                    d_token = number(record[6])
-                    d_cells.append((record[6], d_token, f"{b_d}{d_token}{b_a}"))
+            ds = [r[6] for r in records]
+            if ds != last_ds:
+                last_ds, d_cells = ds, [(d, t, f"{b_d}{t}{b_a}") for d, t in zip(ds, map(number, ds))]
             mid = f"{coherence}{number(delta)}{b_o}"
             lines = []
             for p, (d_err, d_token, d_cell), r in zip(p_tokens, d_cells, records):
@@ -271,24 +253,15 @@ def stream_sweep(spec: SweepSpec, as_json: bool = False) -> Iterator[str]:
     return _render(_blocks(spec), as_json)
 
 
-def _render_rows(rows: Iterable[SweepRow], as_json: bool) -> str:
-    """The text of `rows`.  A number function fails on None, which only a
-    hand-built row holds outside the degenerate ones; such rows are rendered
-    again through `formatter`, which prints None as an empty value."""
-    rows = list(rows)
-    try:
-        return "".join(_render(_row_blocks(rows), as_json))
-    except TypeError:
-        return "".join(_render(_row_blocks(rows), as_json, formatter(as_json)))
-
-
 def render_csv(rows: Iterable[SweepRow]) -> str:
-    """UTF-8/LF CSV text; no field ever needs quoting."""
-    return _render_rows(rows, as_json=False)
+    """UTF-8/LF CSV text; no field ever needs quoting.  A None in a numeric
+    field of a row that is not degenerate raises TypeError."""
+    return "".join(_render(_row_blocks(rows), False))
 
 
 def render_json(rows: Iterable[SweepRow]) -> str:
     """JSON array of row objects using the same fixed decimal tokens as the
     CSV rendering (strings for the sentinel column, numbers elsewhere, null
-    for an empty or non-finite value)."""
-    return _render_rows(rows, as_json=True)
+    for a degenerate row's results and a non-finite value); a None in a
+    numeric field of a row that is not degenerate raises TypeError."""
+    return "".join(_render(_row_blocks(rows), True))

@@ -250,6 +250,43 @@ class TestSweepCommands:
         assert payload[0]["a_qod"] == pytest.approx(1.65983382, abs=1e-6)
 
 
+class TestTokens:
+    """`bound` and the sweeps print a scenario's numbers with the same tokens."""
+
+    # (k, gamma, theta_pi, p); at k = 1e-160 next to delta*c = -1, a_qod is inf.
+    POINTS = [
+        ("2", "0", "0", "0.5"), ("1.3", "0.4", "0.7", "0.6"), ("0.5", "0.9", "1", "0.9"),
+        ("0", "0.1", "0", "0.5"), ("1e-160", "1", "1", "0.5"), ("3", "0.8", "-1.5", "0.05"),
+    ]
+    #: theta is left out: bound prints it reduced to [0, 2*pi), the sweeps as given.
+    SHARED = ("delta", "o_err", "d_err", "a_qod", "useless")
+
+    def _tokens(self, capsys, *argv):
+        """The SHARED tokens of one bound record or one-row sweep, as printed."""
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        if argv[-1] == "json":
+            pairs = (part.split(": ") for part in out.strip("[]{}\n ").split(", "))
+            record = {key.strip('"'): token for key, token in pairs}
+        elif argv[0] == "bound":
+            record = dict(line.split(" = ") for line in out.splitlines())
+        else:
+            record = dict(zip(*(line.split(",") for line in out.splitlines())))
+        return [record[key] for key in self.SHARED]
+
+    @pytest.mark.parametrize("k, gamma, theta_pi, p", POINTS)
+    def test_bound_prints_the_sweep_tokens(self, capsys, k, gamma, theta_pi, p):
+        coherence = ("--gamma", gamma, "--theta-pi", theta_pi)
+        bound = ("bound", "--k", k, *coherence, "--p", p)
+        amap = ("advantage-map", "--k-range", f"{k}:{k}:1", "--p-range", f"{p}:{p}:1", *coherence)
+        text = self._tokens(capsys, *bound)
+        assert text == self._tokens(capsys, *amap)
+        as_json = self._tokens(capsys, *bound, "--format", "json")
+        assert as_json == self._tokens(capsys, *amap, "--format", "json")
+        if k == "1e-160":
+            assert (text[3], as_json[3]) == ("inf", "null")
+
+
 class TestStdoutErrors:
     """A stdout that cannot be written exits 4 with one error line, from every
     subcommand, and nothing more is printed at shutdown."""
@@ -426,9 +463,10 @@ class TestStartup:
     #: Names deleted outright; in_useless_region was a second definition of "useless",
     #: DensityMatrix2 a second 2x2 record whose checks only the oracle needs, and
     #: eigenvalues_sym2, normalization, rho1 and useless_boundary second routes to
-    #: values that bound_report gives (and rho1 the constant Observable2(1.0, 0.0, 0.0)).
+    #: values that bound_report gives (and rho1 the constant Observable2(1.0, 0.0, 0.0)),
+    #: and formatter a second token path beside format_sig and the JSON null.
     DELETED = ("DensityMatrix2", "GridState", "IDENTITY_TOL", "direct_error", "eigenvalues_sym2",
-               "in_useless_region", "normalization", "rho1", "sweep_row", "trace_norm",
+               "formatter", "in_useless_region", "normalization", "rho1", "sweep_row", "trace_norm",
                "useless_boundary")
 
     def test_bound_does_not_load_numpy(self):

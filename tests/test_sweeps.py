@@ -377,34 +377,53 @@ class TestFastPath:
         assert len(calls) <= 3 * cells
 
     def test_hand_built_rows_with_empty_results(self):
-        # Rows the kernel never makes: None results in non-degenerate rows
-        # print as empty cells (CSV) and null (JSON).
+        # Complete hand-built rows render cell by cell, inf and nan included
+        # (null in JSON).  A None in a numeric field of a row that is not
+        # degenerate, a row sweep_rows never makes, raises TypeError.
         rows = [
-            SweepRow(1.0, 0.25, 0.3, 0.0, 0.9, None, 0.25, None, None, None, False),
-            SweepRow(1.0, 0.75, 0.3, 0.0, 0.9, 0.25, 0.25, 1.0, None, math.inf, True),
-            SweepRow(2.0, 0.25, 0.3, 0.0, None, 0.1, 0.25, 2.0, 0.05, None, False),
-            SweepRow(2.0, 0.75, 0.3, 0.0, None, None, 0.25, 2.0, math.nan, 4.0, True),
+            SweepRow(1.0, 0.25, 0.3, 0.0, 0.9, math.inf, 0.25, math.nan, 0.1, math.inf, False),
+            SweepRow(1.0, 0.75, 0.3, 0.0, 0.9, 0.25, 0.25, 1.0, math.nan, math.inf, True),
+            SweepRow(2.0, 0.25, 0.3, 0.0, 0.5, 0.1, 0.25, 2.0, 0.05, math.nan, False),
+            SweepRow(2.0, 0.75, 0.3, 0.0, 0.5, math.nan, 0.25, math.inf, math.inf, 4.0, True),
         ]
-        assert render_csv(rows) == (
+        assert render_csv(rows) == _reference_csv(rows) == (
             CSV_HEADER + "\n"
-            "1.00000000,0.250000000,0.300000000,0.00000000,0.900000000,,0.250000000,,,,false\n"
-            "1.00000000,0.750000000,0.300000000,0.00000000,0.900000000,0.250000000,0.250000000,1.00000000,,inf,true\n"
-            "2.00000000,0.250000000,0.300000000,0.00000000,,0.100000000,0.250000000,2.00000000,0.0500000000,,false\n"
-            "2.00000000,0.750000000,0.300000000,0.00000000,,,0.250000000,2.00000000,nan,4.00000000,true\n"
+            "1.00000000,0.250000000,0.300000000,0.00000000,0.900000000,inf,0.250000000,nan,0.100000000,inf,false\n"
+            "1.00000000,0.750000000,0.300000000,0.00000000,0.900000000,0.250000000,0.250000000,1.00000000,nan,inf,true\n"
+            "2.00000000,0.250000000,0.300000000,0.00000000,0.500000000,0.100000000,0.250000000,2.00000000,0.0500000000,nan,false\n"
+            "2.00000000,0.750000000,0.300000000,0.00000000,0.500000000,nan,0.250000000,inf,inf,4.00000000,true\n"
         )
-        head = '"k": {}, "p": {}, "gamma": 0.300000000, "theta": 0.00000000'
-        assert render_json(rows) == (
-            "[\n"
-            "  {" + head.format("1.00000000", "0.250000000") + ', "delta": 0.900000000, "o_err": null, '
-            '"d_err": 0.250000000, "a_qod": null, "p_err_spade": null, "a_d": null, "useless": false},\n'
-            "  {" + head.format("1.00000000", "0.750000000") + ', "delta": 0.900000000, "o_err": 0.250000000, '
-            '"d_err": 0.250000000, "a_qod": 1.00000000, "p_err_spade": null, "a_d": null, "useless": true},\n'
-            "  {" + head.format("2.00000000", "0.250000000") + ', "delta": null, "o_err": 0.100000000, '
-            '"d_err": 0.250000000, "a_qod": 2.00000000, "p_err_spade": 0.0500000000, "a_d": null, "useless": false},\n'
-            "  {" + head.format("2.00000000", "0.750000000") + ', "delta": null, "o_err": null, '
-            '"d_err": 0.250000000, "a_qod": 2.00000000, "p_err_spade": null, "a_d": 4.00000000, "useless": true}\n'
-            "]\n"
-        )
+        text = render_json(rows)
+        assert text == _reference_json(rows)
+        payload = json.loads(text, parse_constant=_reject_constant)
+        assert [row["a_d"] for row in payload] == [None, None, None, 4.0]
+        for i, row in enumerate(rows):
+            for field in SweepRow._fields[4:11]:
+                broken = [*rows[:i], row._replace(**{field: None}), *rows[i + 1:]]
+                with pytest.raises(TypeError):
+                    render_csv(broken)
+                with pytest.raises(TypeError):
+                    render_json(broken)
+
+    def test_each_block_prints_its_own_d_err(self):
+        # Hand-built blocks with equal priors and different d_err: the d_err
+        # tokens are reused only where the d_err values repeat.
+        rows = [
+            SweepRow(1.0, 0.25, 0.3, 0.0, 0.9, 0.1, 0.25, 2.5, 0.05, 5.0, False),
+            SweepRow(1.0, 0.75, 0.3, 0.0, 0.9, 0.25, 0.25, 1.0, 0.2, 1.25, True),
+            SweepRow(2.0, 0.25, 0.3, 0.0, 0.5, 0.2, 0.2, 1.0, 0.05, 4.0, True),
+            SweepRow(2.0, 0.75, 0.3, 0.0, 0.5, 0.1, 0.3, 3.0, 0.2, 1.5, False),
+            SweepRow(3.0, 0.25, 0.3, 0.0, 0.4, 0.2, 0.2, 1.0, 0.05, 4.0, True),
+            SweepRow(3.0, 0.75, 0.3, 0.0, 0.4, 0.1, 0.3, 3.0, 0.2, 1.5, False),
+        ]
+        csv = render_csv(rows)
+        assert [line.split(",")[5:7] for line in csv.split("\n")[1:-1]] == [
+            ["0.100000000", "0.250000000"], ["0.250000000", "0.250000000"],
+            ["0.200000000", "0.200000000"], ["0.100000000", "0.300000000"],
+            ["0.200000000", "0.200000000"], ["0.100000000", "0.300000000"],
+        ]
+        assert csv == _reference_csv(rows)
+        assert render_json(rows) == _reference_json(rows)
 
     def test_reused_non_finite_tokens(self):
         # At k = 1e-160 next to delta*c = -1 every a_qod and a_d is inf.
