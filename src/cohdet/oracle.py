@@ -5,19 +5,21 @@ principles: sample the Gaussian point-spread wavefunctions on a dense 1-D
 grid, integrate overlaps with the trapezoid rule, summed exactly with
 `math.fsum`, orthonormalize the pair with Gram-Schmidt, project the
 two-source operator onto that numerical basis and diagonalize it with a
-stable 2x2 eigenvalue formula of this module's own.  No analytic shortcut
-from the rest of the package is reused, which makes the agreement tests
-meaningful.  These routines are meant for verification, not for hot
-paths, and need no numpy: `verify`'s block at 4001 or 8001 points takes
-less time in plain Python than importing numpy does.  Like the
-closed-form kernel, they run in stages: `_sample` per separation k,
-`_project` per (k, c) and `_decide` per prior p.
+stable 2x2 eigenvalue formula of this module's own.  Every projection is
+2x2, also for coincident sources.  No analytic shortcut from the rest of
+the package is reused, which makes the agreement tests meaningful.  These
+routines are meant for verification, not for hot paths, and need no
+numpy: `verify`'s block at 4001 or 8001 points takes less time in plain
+Python than importing numpy does.  Like the closed-form kernel, they run
+in stages, each written once: `_sample` per separation k, `_project` per
+(k, c) and `_decide` per prior p.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Sequence
 from operator import mul
 from typing import NamedTuple
 
@@ -140,8 +142,9 @@ _Sample = namedtuple("_Sample", "overlap proj0 projs delta dm")
 def _sample(k: float, grid: SpatialGrid | None) -> _Sample:
     """Per-k stage, on `SpatialGrid.for_separation(k)` by default.  The basis
     comes from Gram-Schmidt on the sampled vectors with one
-    re-orthogonalization pass and has one vector when the pair is
-    numerically colinear (coincident sources)."""
+    re-orthogonalization pass, and psi0 and psis always have two components
+    in it: when the pair is numerically colinear (coincident sources) there
+    is no second basis vector, and their second components are 0."""
     _require_separation(k)
     if grid is None:
         grid = SpatialGrid.for_separation(k)
@@ -154,29 +157,29 @@ def _sample(k: float, grid: SpatialGrid | None) -> _Sample:
     along = _inner(grid, e0, w)
     w = [v - along * e for v, e in zip(w, e0)]
     norm = math.sqrt(_inner(grid, w, w))
-    basis = [e0] if norm < _COLINEAR_EPS else [e0, [v / norm for v in w]]
-    return _Sample(
-        _inner(grid, psi0, psis),
-        [_inner(grid, psi0, e) for e in basis],
-        [_inner(grid, psis, e) for e in basis],
-        *_separation_terms(k),
-    )
+    proj0, projs = [_inner(grid, psi0, e0), 0.0], [_inner(grid, psis, e0), 0.0]
+    if norm >= _COLINEAR_EPS:
+        e1 = [v / norm for v in w]
+        proj0[1], projs[1] = _inner(grid, psi0, e1), _inner(grid, psis, e1)
+    return _Sample(_inner(grid, psi0, psis), proj0, projs, *_separation_terms(k))
 
 
-def _project(sample: _Sample, c: float) -> list[list[float]]:
-    """Per-(k, c) stage: N*(|psi0><psi0| + |psis><psis| + c*(|psi0><psis| +
-    |psis><psi0|)) as the 1x1 or 2x2 matrix of its elements between basis
-    vectors, formed from the components of psi0 and psis.  The caller has
-    checked the singular point by the kernel's rule, `_pair_terms` at
-    (k, c); next to that point the quadrature's own 1 + delta*c can round
-    to 0, a fault of the grid."""
+def _project(sample: _Sample, c: float) -> tuple[tuple, list[list[float]], Observable2]:
+    """Per-(k, c) stage, for a checked c: the kernel's `_pair_terms` at (k, c),
+    which checks the singular point and is the closed form to compare with;
+    the 2x2 matrix of N*(|psi0><psi0| + |psis><psis| + c*(|psi0><psis| +
+    |psis><psi0|)) between basis vectors, formed from the components of psi0
+    and psis; and that projection's `_density`.  Next to the singular point
+    the quadrature's own 1 + delta*c can round to 0, a fault of the grid."""
+    pair = _pair_terms(sample.delta, sample.dm, c)
     one_plus_dc = 1.0 + c * sample.overlap
     if not one_plus_dc > 0.0:
         raise GridAccuracyError(f"quadrature puts 1 + delta*c at {one_plus_dc!r}, not above 0")
     norm = 0.5 / one_plus_dc
     components = list(zip(sample.proj0, sample.projs))
     columns = [(a0 + c * a_s, a_s + c * a0) for a0, a_s in components]
-    return [[norm * (a0 * u + a_s * v) for u, v in columns] for a0, a_s in components]
+    projection = [[norm * (a0 * u + a_s * v) for u, v in columns] for a0, a_s in components]
+    return pair, projection, _density(projection)
 
 
 def _density(m: list[list[float]]) -> Observable2:
@@ -184,10 +187,8 @@ def _density(m: list[list[float]]) -> Observable2:
     state built outside the kernel, so the one whose unit trace and
     positivity are checked: a miss beyond TOLERANCE, or a non-finite entry,
     is a quadrature fault."""
-    if len(m) == 1:
-        rho = Observable2(m[0][0], 0.0, 0.0)
-    else:
-        rho = Observable2(m[0][0], 0.5 * (m[0][1] + m[1][0]), m[1][1])
+    (m11, m12), (m21, m22) = m
+    rho = Observable2(m11, 0.5 * (m12 + m21), m22)
     if not abs(rho.trace() - 1.0) <= TOLERANCE:
         raise GridAccuracyError(f"grid state trace {rho.trace()!r} deviates from 1 beyond {TOLERANCE}")
     if not (rho.a11 >= -TOLERANCE and rho.a22 >= -TOLERANCE and rho.det() >= -TOLERANCE):
@@ -210,15 +211,10 @@ def _eigenvalues(a: float, b: float, d: float) -> tuple[float, float]:
 def _decide(m: list[list[float]], proj0: list[float], p: float) -> float:
     """Per-p stage.  The weighted difference operator has rank <= 2, so its
     nonzero eigenvalues are those of its projection onto the
-    orthonormalized pair, p*m - (1 - p)*|psi0><psi0| there, a 1x1 matrix
-    padded to 2x2 with zeros."""
+    orthonormalized pair, the 2x2 matrix p*m - (1 - p)*|psi0><psi0| there."""
     q = 1.0 - p
-    lam = [[p * m_ij - q * x * y for m_ij, y in zip(row, proj0)] for row, x in zip(m, proj0)]
-    if len(lam) == 1:
-        a, b, d = lam[0][0], 0.0, 0.0
-    else:
-        a, b, d = lam[0][0], 0.5 * (lam[0][1] + lam[1][0]), lam[1][1]
-    tn = sum(map(abs, _eigenvalues(a, b, d)))
+    (a, b1), (b2, d) = [[p * m_ij - q * x * y for m_ij, y in zip(row, proj0)] for row, x in zip(m, proj0)]
+    tn = sum(map(abs, _eigenvalues(a, 0.5 * (b1 + b2), d)))
     return min(0.5, max(0.0, 0.5 * (1.0 - tn)))
 
 
@@ -231,19 +227,14 @@ def grid_rho2(k: float, c: float, grid: SpatialGrid | None = None) -> Observable
     """Two-source state rebuilt in grid space and projected onto the
     numerically orthonormalized pair."""
     _require_effective_coherence(c)
-    sample = _sample(k, grid)
-    _pair_terms(sample.delta, sample.dm, c)  # the kernel's check of the singular point
-    return _density(_project(sample, c))
+    return _project(_sample(k, grid), c)[2]
 
 
 def grid_helstrom(params: ScenarioParams, grid: SpatialGrid | None = None) -> float:
     """Minimum error probability recomputed entirely in grid space, from a
-    state that passes `_density`'s checks.  Building `params` checked its
-    singular point, with the sample's delta and dm."""
+    state that passes `_density`'s checks."""
     sample = _sample(params.k, grid)
-    projection = _project(sample, params.c)
-    _density(projection)
-    return _decide(projection, sample.proj0, params.p)
+    return _decide(_project(sample, params.c)[1], sample.proj0, params.p)
 
 
 class VerificationReport(NamedTuple):
@@ -262,37 +253,28 @@ class VerificationReport(NamedTuple):
 
 
 def equivalence_report(
-    k_values: list[float] | None = None,
-    c_values: list[float] | None = None,
-    p_values: list[float] | None = None,
+    k_values: Sequence[float] = (0.0, 1.0, 2.0, 3.0, 4.0),
+    c_values: Sequence[float] = (-0.9, -0.45, 0.0, 0.45, 0.9),
+    p_values: Sequence[float] = (0.1, 0.3, 0.5, 0.7, 0.9),
     n_points: int = 4001,
 ) -> VerificationReport:
     """Sweep a (k, c, p) verification grid and report the worst |grid -
     closed form| discrepancy for the overlap, the two-source state and the
     error bound.  Defaults to the 5 x 5 x 5 grid over k in [0, 4], c in
-    [-0.9, 0.9] and p in [0.1, 0.9]."""
-    if k_values is None:
-        k_values = [0.0, 1.0, 2.0, 3.0, 4.0]
-    if c_values is None:
-        c_values = [-0.9, -0.45, 0.0, 0.45, 0.9]
-    if p_values is None:
-        p_values = [0.1, 0.3, 0.5, 0.7, 0.9]
-
-    worst_overlap = 0.0
-    worst_rho2 = 0.0
-    worst_helstrom = 0.0
+    [-0.9, 0.9] and p in [0.1, 0.9].  Each c and p is checked once, before
+    any grid is sampled; each (k, c) is projected once, by `_project`."""
+    for c in c_values:
+        _require_effective_coherence(c)
+    for p in p_values:
+        _require_prior(p)
+    worst_overlap = worst_rho2 = worst_helstrom = 0.0
     for k in k_values:
-        grid = SpatialGrid.for_separation(k, n_points)
-        sample = _sample(k, grid)
+        sample = _sample(k, SpatialGrid.for_separation(k, n_points))
         worst_overlap = max(worst_overlap, abs(sample.overlap - sample.delta))
         for c in c_values:
-            _require_effective_coherence(c)
-            pair = _pair_terms(sample.delta, sample.dm, c)
-            projection = _project(sample, c)
-            reconstructed = zip(_density(projection), pair[1:4])
-            worst_rho2 = max(worst_rho2, *(abs(got - want) for got, want in reconstructed))
+            pair, projection, rho = _project(sample, c)
+            worst_rho2 = max(worst_rho2, *(abs(got - want) for got, want in zip(rho, pair[1:4])))
             for p in p_values:
-                _require_prior(p)
                 grid_bound = _decide(projection, sample.proj0, p)
                 worst_helstrom = max(worst_helstrom, abs(grid_bound - _prior_terms(pair, p)[5]))
     return VerificationReport(worst_overlap, worst_rho2, worst_helstrom)

@@ -407,6 +407,19 @@ class TestVerify:
         assert out.strip().endswith("verify: PASS")
         assert "overlap max abs error" in out
 
+    @pytest.mark.parametrize("points", ["1001", "4001", "8001"])
+    def test_stdout_is_pinned(self, capsys, points):
+        # few-ulp maxima: a changed bit anywhere in the oracle changes a token
+        code, out, err = run_cli(capsys, "verify", "--grid-points", points)
+        assert (code, err) == (0, "")
+        assert out == (
+            "overlap max abs error = 0.000000000000000555111512\n"
+            "rho2 max abs error = 0.00000000000000111022302\n"
+            "helstrom max abs error = 0.000000000000000527355937\n"
+            "tolerance = 0.00000100000000\n"
+            "verify: PASS\n"
+        )
+
     def test_coarse_grid_fails(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--grid-points", "101")
         assert code == 5

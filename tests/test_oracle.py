@@ -18,6 +18,7 @@ from cohdet import (
     overlap,
     rho2,
 )
+from cohdet import oracle
 from cohdet.oracle import MAX_POINTS, TOLERANCE, _density, _eigenvalues, _inner, psf_state
 
 EPS = np.finfo(float).eps
@@ -245,7 +246,7 @@ class TestDensity:
 
     def test_accepts_a_state(self):
         assert _density([[0.5, 0.1], [0.1, 0.5]]) == (0.5, 0.1, 0.5)
-        assert _density([[1.0]]) == (1.0, 0.0, 0.0)
+        assert _density([[1.0, 0.0], [0.0, 0.0]]) == (1.0, 0.0, 0.0)
 
     def test_rejects_bad_trace(self):
         with pytest.raises(GridAccuracyError, match="trace"):
@@ -293,7 +294,7 @@ class TestEquivalenceReport:
         assert report.passed
 
     def test_maxima_equal_the_public_functions(self):
-        # k = 0 takes the colinear one-vector basis; c < 0 flips theta to pi
+        # k = 0 takes the colinear basis, whose second components are 0; c < 0 flips theta to pi
         ks, cs, ps, n_points = [0.0, 0.7, 2.5], [-0.8, 0.0, 0.6], [0.05, 0.5, 0.95], 2001
         overlap_error = rho2_error = helstrom_error = 0.0
         for k in ks:
@@ -311,3 +312,15 @@ class TestEquivalenceReport:
         assert report.max_overlap_error == overlap_error
         assert report.max_rho2_error == rho2_error
         assert report.max_helstrom_error == helstrom_error
+
+    @pytest.mark.parametrize("values,message", [
+        ({"c_values": (-0.5, 0.0, 1.5)}, "effective coherence must lie in"),
+        ({"p_values": (0.1, 0.5, math.nan)}, "prior p must lie in"),
+    ])
+    def test_bad_value_is_refused_before_any_grid_is_sampled(self, monkeypatch, values, message):
+        samples = []
+        sample = oracle._sample
+        monkeypatch.setattr(oracle, "_sample", lambda *args: samples.append(args) or sample(*args))
+        with pytest.raises(DomainError, match=message):
+            equivalence_report(**values)
+        assert samples == []
