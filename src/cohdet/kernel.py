@@ -77,7 +77,7 @@ def _require_count(value: int, minimum: int, what: str) -> int:
 def overlap(k: float) -> float:
     """Overlap of the two point-spread states at dimensionless separation k."""
     _require_separation(k)
-    return math.exp(-0.125 * k * k)
+    return _separation_terms(k)[0]
 
 
 def _separation_terms(k: float) -> tuple[float, float]:
@@ -93,14 +93,6 @@ def effective_coherence(gamma: float, theta: float) -> float:
     _require_gamma(gamma)
     _require_phase(theta)
     return gamma * math.cos(theta)
-
-
-def _admissible_pair(delta: float, c: float) -> tuple:
-    """`_pair_terms` of a public (delta, c) pair after its checks, exact at the
-    given doubles: dm = 1 - delta is exact wherever delta >= 1/2."""
-    _require_overlap(delta)
-    _require_effective_coherence(c)
-    return _pair_terms(delta, 1.0 - delta, c)
 
 
 class _Record:
@@ -228,8 +220,11 @@ def rho2(delta: float, c: float) -> Observable2:
                      [(delta + c)*sqrt(1 - delta**2), 1 - delta**2]].
 
     At delta = 1 the sources coincide and rho_2 collapses onto rho_1 exactly.
+    The entries take dm = 1 - delta from the given delta, exact wherever delta >= 1/2.
     """
-    return Observable2(*_admissible_pair(delta, c)[1:4])
+    _require_overlap(delta)
+    _require_effective_coherence(c)
+    return Observable2(*_pair_terms(delta, 1.0 - delta, c)[1:4])
 
 
 def lambda_matrix(params: ScenarioParams) -> Observable2:
@@ -332,7 +327,7 @@ def spade_error(delta: float, c: float, p: float) -> float:
     Gaussian mode.
     """
     _require_prior(p)
-    return p * _admissible_pair(delta, c)[1]
+    return p * rho2(delta, c).a11
 
 
 def spade_advantage(params: ScenarioParams) -> float:

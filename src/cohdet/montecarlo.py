@@ -88,8 +88,7 @@ def _words(seed: int, shard: int, word: int) -> np.random.Generator:
     makes four words per counter step: advance whole steps, draw the rest."""
     rng = _stream(seed, 0, shard)
     rng.bit_generator.advance(word // 4)
-    if word % 4:
-        rng.bit_generator.random_raw(word % 4)
+    rng.bit_generator.random_raw(word % 4)
     return rng
 
 
@@ -178,7 +177,7 @@ def run_simulation(config: TrialConfig) -> EmpiricalResult:
     q = params._pair[1]
     n_errors = _count_errors(config.seed, config.n_photons, params.p, q, _workers(config.n_photons))
 
-    rate = params.p * q  # spade_error(delta, c, p)
+    rate = params._record[8]  # p_err_spade, p * q
     error_rate = n_errors / config.n_photons
     std_err = math.sqrt(rate * (1.0 - rate) / config.n_photons)
     if std_err > 0.0:

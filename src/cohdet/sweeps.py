@@ -39,11 +39,11 @@ COLUMNS: tuple[str, ...] = tuple(CSV_HEADER.split(","))
 #: parameter point; their numeric result columns stay empty.
 DEGENERATE_SENTINEL = "degenerate"
 
-_MIN_NORMAL, _MAX_FINITE = sys.float_info.min, sys.float_info.max
+_MAX_FINITE = sys.float_info.max
 
-#: The format spec of each decade e a normal double can round into: the
-#: decimals that leave 9 significant digits, and none from 10**8 up.
-_SPEC = {e: f".{8 - e}f" if e < 8 else ".0f" for e in range(-308, 310)}
+#: The format spec of each decade e a double can round into: the decimals
+#: that leave 9 significant digits, and none from 10**8 up.
+_SPEC = {e: f".{8 - e}f" if e < 8 else ".0f" for e in range(-324, 310)}
 
 
 def format_sig(x: float) -> str:
@@ -52,9 +52,9 @@ def format_sig(x: float) -> str:
     value falls in: 9 significant digits below 10**9, and from there up x
     rounded to an integer with every digit printed (4e12 prints as
     4000000000000).  Zero prints as 0.00000000, and nan and the infinities as
-    nan, inf and -inf."""
+    Python prints them: nan, inf and -inf."""
     magnitude = abs(x)
-    if _MIN_NORMAL <= magnitude <= _MAX_FINITE:
+    if 0.0 < magnitude <= _MAX_FINITE:
         exponent = math.floor(math.log10(magnitude))
         text = f"{x:{_SPEC[exponent]}}"
         # The token sits in the next decade only if its rounding crossed into
@@ -68,16 +68,9 @@ def format_sig(x: float) -> str:
         elif exponent >= 8 or len(text) - (x < 0.0) == 10:
             return text
         return f"{x:{_SPEC[exponent + 1]}}"
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
     if x == 0.0:
         return "0.00000000"
-    # log10 cannot place a subnormal's decade; the exponent of the 9-digit
-    # scientific token is the decade after rounding.
-    exponent = int(f"{x:.8e}".partition("e")[2])
-    return f"{x:.{8 - exponent}f}"
+    return f"{x}"
 
 
 def _json_number(x: float) -> str:

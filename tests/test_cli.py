@@ -477,10 +477,11 @@ class TestStartup:
     #: DensityMatrix2 a second 2x2 record whose checks only the oracle needs, and
     #: eigenvalues_sym2, normalization, rho1 and useless_boundary second routes to
     #: values that bound_report gives (and rho1 the constant Observable2(1.0, 0.0, 0.0)),
-    #: and formatter a second token path beside format_sig and the JSON null.
-    DELETED = ("DensityMatrix2", "GridState", "IDENTITY_TOL", "direct_error", "eigenvalues_sym2",
-               "formatter", "in_useless_region", "normalization", "rho1", "sweep_row", "trace_norm",
-               "useless_boundary")
+    #: formatter a second token path beside format_sig and the JSON null, and
+    #: _admissible_pair a second checked (delta, c) entry beside rho2.
+    DELETED = ("DensityMatrix2", "GridState", "IDENTITY_TOL", "_admissible_pair", "direct_error",
+               "eigenvalues_sym2", "formatter", "in_useless_region", "normalization", "rho1", "sweep_row",
+               "trace_norm", "useless_boundary")
 
     def test_bound_does_not_load_numpy(self):
         code = (

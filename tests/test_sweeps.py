@@ -75,6 +75,7 @@ class TestFormatSig:
             (float("inf"), "inf"),
             (float("-inf"), "-inf"),
             (float("nan"), "nan"),
+            pytest.param(-math.nan, "nan", id="-nan-nan"),  # the sign bit is set
         ],
     )
     def test_tokens(self, value, expected):
