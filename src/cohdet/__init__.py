@@ -7,54 +7,30 @@ over blind guessing, a practical binary mode-sorting strategy, a seeded
 Monte Carlo validator, and an independent spatial-grid oracle that rebuilds
 everything by brute force.
 
-Only the Monte Carlo validator needs numpy.  Its names and the oracle's
-load on first use, so importing the package for bounds and sweeps loads
-neither numpy nor the oracle.
+Every public name loads its module on first use, so `import cohdet` loads
+no submodule, and only the Monte Carlo validator's names load numpy.
 """
 
 import importlib
 
-from .errors import CohdetError, DegenerateScenarioError, DomainError, GridAccuracyError
-from .kernel import (
-    Observable2,
-    ScenarioParams,
-    bound_report,
-    helstrom_bound,
-    lambda_matrix,
-    overlap,
-    qod_advantage,
-    rho2,
-    spade_advantage,
-    spade_error,
-)
-from .sweeps import (
-    CSV_HEADER,
-    SweepSpec,
-    render_csv,
-    render_json,
-    sweep_rows,
-)
+__version__ = "0.1.0"
 
-#: Names imported on first access: the numpy-backed validator's and the oracle's.
-_LAZY = dict.fromkeys(("TrialConfig", "run_simulation"), "montecarlo")
-_LAZY.update(dict.fromkeys((
-    "SpatialGrid", "equivalence_report", "grid_helstrom", "grid_overlap", "grid_rho2"), "oracle"))
+#: Each public name, by the module that defines it.
+_MODULES = {
+    "errors": ("CohdetError", "DegenerateScenarioError", "DomainError", "GridAccuracyError"),
+    "kernel": ("Observable2", "ScenarioParams", "bound_report", "helstrom_bound", "lambda_matrix",
+               "overlap", "qod_advantage", "rho2", "spade_advantage", "spade_error"),
+    "montecarlo": ("TrialConfig", "run_simulation"),
+    "oracle": ("SpatialGrid", "equivalence_report", "grid_helstrom", "grid_overlap", "grid_rho2"),
+    "sweeps": ("CSV_HEADER", "SweepSpec", "render_csv", "render_json", "sweep_rows"),
+}
+_HOME = {name: module for module, names in _MODULES.items() for name in names}
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):
-    if name not in _LAZY:
+    if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
     globals()[name] = value
     return value
-
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "CSV_HEADER", "CohdetError", "DegenerateScenarioError", "DomainError", "GridAccuracyError",
-    "Observable2", "ScenarioParams", "SpatialGrid", "SweepSpec", "TrialConfig", "bound_report",
-    "equivalence_report", "grid_helstrom", "grid_overlap", "grid_rho2", "helstrom_bound",
-    "lambda_matrix", "overlap", "qod_advantage", "render_csv", "render_json", "rho2",
-    "run_simulation", "spade_advantage", "spade_error", "sweep_rows",
-]

@@ -215,7 +215,7 @@ def _decide(m: list[list[float]], proj0: list[float], p: float) -> float:
     q = 1.0 - p
     (a, b1), (b2, d) = [[p * m_ij - q * x * y for m_ij, y in zip(row, proj0)] for row, x in zip(m, proj0)]
     tn = sum(map(abs, _eigenvalues(a, 0.5 * (b1 + b2), d)))
-    return min(0.5, max(0.0, 0.5 * (1.0 - tn)))
+    return max(0.0, 0.5 * (1.0 - tn))
 
 
 def grid_overlap(k: float, grid: SpatialGrid | None = None) -> float:

@@ -79,9 +79,16 @@ def _json_number(x: float) -> str:
 
 
 def _linspace(lo: float, hi: float, n: int) -> Iterator[float]:
-    """n evenly spaced values from lo to hi, one at a time; the last is hi."""
+    """n evenly spaced values from lo to hi, one at a time; the last is hi.
+    A count beyond a double has no spacing: DomainError at the first value."""
+    try:
+        gaps = float(n - 1)
+    except OverflowError:
+        raise DomainError(
+            f"range {lo!r}:{hi!r} has too many steps for a floating-point spacing (about 1.8e308 at most)"
+        ) from None
     for i in range(n - 1):
-        yield lo + (hi - lo) * i / (n - 1)
+        yield lo + (hi - lo) * i / gaps
     yield hi if n > 1 else lo
 
 

@@ -208,6 +208,19 @@ class TestSweepCommands:
         assert 0 < len(partial) <= 65536 < len(complete)
         assert complete.startswith(partial)
 
+    @pytest.mark.parametrize("argv", [
+        ["advantage-map", "--k-range", f"0:1:{10**400}", "--p-range", "0:1:2"],
+        ["advantage-map", "--k-range", "0:1:2", "--p-range", f"0:1:{10**400}"],
+        ["spade", "--k-range", f"0:1:{10**400}"],
+    ], ids=["map-k", "map-p", "spade-k"])
+    def test_step_count_beyond_a_double_exits_2(self, argv):
+        # refused when the sweep starts, after the opening chunk, and without the count's 401 digits
+        result = run_python("-c", ENTRY, *argv)
+        assert result.returncode == 2
+        assert result.stdout == cohdet.CSV_HEADER + "\n"
+        assert result.stderr == (
+            "error: range 0.0:1.0 has too many steps for a floating-point spacing (about 1.8e308 at most)\n")
+
     def test_spade_rows_per_separation(self, capsys):
         code, out, err = run_cli(
             capsys, "spade", "--k-range", "0:5:6", "--gamma", "0.9", "--theta-pi", "1"
@@ -482,6 +495,15 @@ class TestStartup:
     DELETED = ("DensityMatrix2", "GridState", "IDENTITY_TOL", "_admissible_pair", "direct_error",
                "eigenvalues_sym2", "formatter", "in_useless_region", "normalization", "rho1", "sweep_row",
                "trace_norm", "useless_boundary")
+
+    def test_package_import_loads_no_submodule(self):
+        code = (
+            "import sys, cohdet\n"
+            "print(sorted(m for m in sys.modules if m.startswith(('cohdet', 'numpy'))))\n"
+        )
+        result = run_python("-c", code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "['cohdet']\n"
 
     def test_bound_does_not_load_numpy(self):
         code = (

@@ -186,6 +186,18 @@ class TestSweepSpec:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("k_steps, p_steps", [(10**400, 2), (2, 10**400)], ids=["k", "p"])
+    def test_count_beyond_a_double_is_refused_where_used(self, k_steps, p_steps):
+        # the spec takes a count of any size; one beyond a double has no spacing
+        spec = SweepSpec(0.0, 1.0, k_steps, 0.0, 1.0, p_steps)
+        message = r"^range 0\.0:1\.0 has too many steps for a floating-point spacing \(about 1\.8e308 at most\)$"
+        with pytest.raises(DomainError, match=message):
+            sweep_rows(spec)
+        chunks = stream_sweep(spec)
+        assert next(chunks) == CSV_HEADER + "\n"
+        with pytest.raises(DomainError, match=message):
+            next(chunks)
+
 
 class TestSweepRows:
     def test_row_major_order_and_count(self):
