@@ -20,18 +20,20 @@ for gamma in (0.1, 0.9):
         spec = SweepSpec(0.0, 5.0, K_STEPS, 0.0, 1.0, P_STEPS, gamma=gamma, theta=theta)
         rows = sweep_rows(spec)
         print(f"\na_qod for gamma = {gamma}, theta = {theta_label}  (rows: k, columns: p)")
-        header = "  k\\p " + " ".join(f"{p:5.2f}" for p in spec.p_values())
+        # The axes come from the rows: the first row of priors, and each row's k.
+        header = "  k\\p " + " ".join(f"{row.p:5.2f}" for row in rows[:P_STEPS])
         print(header)
-        for i, k in enumerate(spec.k_values()):
+        for i in range(K_STEPS):
+            k_rows = rows[i * P_STEPS : (i + 1) * P_STEPS]
             cells = []
-            for row in rows[i * P_STEPS : (i + 1) * P_STEPS]:
+            for row in k_rows:
                 if row.degenerate:
                     cells.append("  x  ")
                 elif row.useless:
                     cells.append("  .  ")
                 else:
                     cells.append(f"{row.a_qod:5.2f}")
-            print(f" {k:4.1f} " + " ".join(cells))
+            print(f" {k_rows[0].k:4.1f} " + " ".join(cells))
 
 print(
     "\nDots mark the useless region; its lower edge is the analytic prior"

@@ -86,15 +86,6 @@ def _separation_terms(k: float) -> tuple[float, float]:
     return math.exp(x), -math.expm1(x)
 
 
-def effective_coherence(gamma: float, theta: float) -> float:
-    """Collapse coherence strength and phase into the single factor
-    c = gamma*cos(theta); every downstream formula depends on the pair
-    (gamma, theta) only through this product."""
-    _require_gamma(gamma)
-    _require_phase(theta)
-    return gamma * math.cos(theta)
-
-
 class _Record:
     """Base of the immutable records that are not tuples: their fields sit in
     slots and cannot be reassigned, and repr, == and hash cover `_fields`,
@@ -135,7 +126,7 @@ class ScenarioParams(_Record):
     theta    coherence phase in radians (stored reduced to [0, 2*pi))
     p        prior probability that the second source exists, in [0, 1]
     delta    overlap(k), computed at construction; not part of repr, == or hash
-    c        effective_coherence(gamma, theta), likewise
+    c        gamma*cos(theta) of the reduced theta, as a sweep forms it; likewise
     _pair    `_pair_terms` of (delta, 1 - delta from k, c), likewise
     _record  `_prior_terms` of (_pair, p), likewise: the scenario's one pass
              through the kernel, which every scalar result reads

@@ -7,7 +7,7 @@ identical sweep specs yield byte-identical output suitable for golden-file
 regression tests.
 
 `stream_sweep` runs the kernel and renders as it goes, one chunk of text per
-separation, so a sweep of any size writes in the memory of one grid row;
+separation, so a sweep writes in the memory of one grid row of priors;
 `sweep_rows` with `render_csv` or `render_json` gives the same text from a
 list of rows, each holding a number in every numeric field unless degenerate.
 Both render through `_render`, the one renderer, which formats a value once
@@ -22,14 +22,14 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import groupby
+from itertools import groupby, islice
 from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import DegenerateScenarioError, DomainError
 from .kernel import (
     _TWO_PI, _pair_terms, _prior_terms, _Record, _require_count, _require_gamma, _require_phase,
-    _separation_terms, effective_coherence,
+    _separation_terms,
 )
 
 CSV_HEADER = "k,p,gamma,theta,delta,o_err,d_err,a_qod,p_err_spade,a_d,useless"
@@ -38,6 +38,10 @@ COLUMNS: tuple[str, ...] = tuple(CSV_HEADER.split(","))
 #: Sentinel placed in the `useless` column of rows that hit the singular
 #: parameter point; their numeric result columns stay empty.
 DEGENERATE_SENTINEL = "degenerate"
+
+#: The most priors a sweep takes: it holds one row of them, at a peak of some
+#: 1.3 KiB per prior in CSV and 1.6 KiB in JSON; more are a DomainError.
+MAX_PRIORS = 10**5
 
 _MAX_FINITE = sys.float_info.max
 
@@ -118,12 +122,6 @@ class SweepSpec(_Record):
         for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 
-    def k_values(self) -> list[float]:
-        return list(_linspace(self.k_min, self.k_max, self.k_steps))
-
-    def p_values(self) -> list[float]:
-        return list(_linspace(self.p_min, self.p_max, self.p_steps))
-
 
 class SweepRow(NamedTuple):
     """Results at one grid point; the result fields are None on the
@@ -148,11 +146,14 @@ def _blocks(spec: SweepSpec) -> Iterator[tuple]:
     """The sweep's kernel pass, one block per separation: (k, gamma, theta,
     delta, ps, records), with the `_prior_terms` record of each prior in ps,
     or records None on the singular point.  The kernel's first half runs
-    once per k, its second half once per cell.  The spec is valid, so only
-    the singular point is checked."""
+    once per k, its second half once per cell.  The spec is valid, so c is
+    formed as `ScenarioParams` forms it, and only the singular point and
+    the prior count, at most MAX_PRIORS before a row is built, are checked."""
     gamma, theta = spec.gamma, spec.theta
-    c = effective_coherence(gamma, theta % _TWO_PI)
-    ps = spec.p_values()
+    c = gamma * math.cos(theta % _TWO_PI)
+    ps = list(islice(_linspace(spec.p_min, spec.p_max, spec.p_steps), MAX_PRIORS + 1))
+    if len(ps) > MAX_PRIORS:
+        raise DomainError(f"p_steps must be at most {MAX_PRIORS}, got {spec.p_steps}")
     # Each k from its index, so a sweep holds no list of its separations.
     for k in _linspace(spec.k_min, spec.k_max, spec.k_steps):
         delta, dm = _separation_terms(k)

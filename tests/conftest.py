@@ -1,6 +1,9 @@
-"""Shared test helpers: strategies for admissible scenario parameters and a
-fresh interpreter that runs the package from src/."""
+"""Shared test helpers: strategies for admissible scenario parameters, the
+CLI run in this process, and a fresh interpreter that runs the package from
+src/."""
 
+import contextlib
+import io
 import math
 import os
 import subprocess
@@ -11,7 +14,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from cohdet import ScenarioParams, overlap
-from cohdet.kernel import effective_coherence
+from cohdet.cli import main
 
 
 def finite_floats(lo, hi):
@@ -34,7 +37,7 @@ def scenario_params(draw, k_max=12.0, margin=1e-6):
     gamma = draw(finite_floats(0.0, 1.0))
     theta = draw(finite_floats(0.0, 2.0 * math.pi))
     p = draw(finite_floats(0.0, 1.0))
-    assume(1.0 + overlap(k) * effective_coherence(gamma, theta) > margin)
+    assume(1.0 + overlap(k) * gamma * math.cos(theta) > margin)
     return ScenarioParams(k=k, gamma=gamma, theta=theta, p=p)
 
 
@@ -45,6 +48,19 @@ def linspace(lo, hi, n):
     values = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     values[-1] = hi
     return values
+
+
+def run_in_process(argv):
+    """(exit code, stdout, stderr) of `cli.main(argv)`; the code is None
+    where argparse rejects a flag."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejecting a flag
+            assert exc.code == 2, argv
+            code = None
+    return code, out.getvalue(), err.getvalue()
 
 
 ROOT = Path(__file__).resolve().parents[1]

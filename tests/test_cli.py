@@ -1,6 +1,4 @@
-import contextlib
 import importlib
-import io
 import json
 import math
 import subprocess
@@ -10,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ROOT, python_env, run_python
+from conftest import ROOT, python_env, run_in_process, run_python
 
 import cohdet
 import cohdet.cli
@@ -220,6 +218,13 @@ class TestSweepCommands:
         assert result.stdout == cohdet.CSV_HEADER + "\n"
         assert result.stderr == (
             "error: range 0.0:1.0 has too many steps for a floating-point spacing (about 1.8e308 at most)\n")
+
+    @pytest.mark.parametrize("p_steps", ["100001", "100000000"])
+    def test_more_priors_than_a_row_holds_exit_2(self, capsys, p_steps):
+        # refused after the opening chunk, before a row of priors is built
+        code, out, err = run_cli(capsys, "advantage-map", "--k-range", "0:1:2", "--p-range", f"0:1:{p_steps}")
+        assert (code, out) == (2, cohdet.CSV_HEADER + "\n")
+        assert err == f"error: p_steps must be at most 100000, got {p_steps}\n"
 
     def test_spade_rows_per_separation(self, capsys):
         code, out, err = run_cli(
@@ -480,7 +485,7 @@ class TestStartup:
 
     #: Names dropped from the package namespace, by the module that keeps them.
     MODULE_ONLY = {
-        "kernel": ("BoundReport", "effective_coherence"),
+        "kernel": ("BoundReport",),
         "montecarlo": ("EmpiricalResult",),
         "oracle": ("VerificationReport", "psf_state"),
         "sweeps": ("SweepRow", "format_sig"),
@@ -490,11 +495,12 @@ class TestStartup:
     #: DensityMatrix2 a second 2x2 record whose checks only the oracle needs, and
     #: eigenvalues_sym2, normalization, rho1 and useless_boundary second routes to
     #: values that bound_report gives (and rho1 the constant Observable2(1.0, 0.0, 0.0)),
-    #: formatter a second token path beside format_sig and the JSON null, and
-    #: _admissible_pair a second checked (delta, c) entry beside rho2.
+    #: formatter a second token path beside format_sig and the JSON null,
+    #: _admissible_pair a second checked (delta, c) entry beside rho2, and
+    #: effective_coherence a second definition of c, of the unreduced phase.
     DELETED = ("DensityMatrix2", "GridState", "IDENTITY_TOL", "_admissible_pair", "direct_error",
-               "eigenvalues_sym2", "formatter", "in_useless_region", "normalization", "rho1", "sweep_row",
-               "trace_norm", "useless_boundary")
+               "effective_coherence", "eigenvalues_sym2", "formatter", "in_useless_region",
+               "normalization", "rho1", "sweep_row", "trace_norm", "useless_boundary")
 
     def test_package_import_loads_no_submodule(self):
         code = (
@@ -644,17 +650,6 @@ CLI_ARGV = st.one_of(
 )
 
 
-def _run_in_process(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejecting a flag
-            assert exc.code == 2, argv
-            code = None
-    return code, out.getvalue(), err.getvalue()
-
-
 class TestFuzz:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(CLI_ARGV)
@@ -663,7 +658,7 @@ class TestFuzz:
     @example(["bound", "--k", "1e300", "--gamma", "1", "--theta-pi", "1", "--p", "1e-300",
               "--format", "json"])
     def test_every_argv_exits_cleanly(self, argv):
-        code, out, err = _run_in_process(argv)
+        code, out, err = run_in_process(argv)
         if code is None:
             return
         assert code in (0, 2, 3, 4, 5), (argv, code)

@@ -283,6 +283,12 @@ class TestGridHelstrom:
         with pytest.raises(GridAccuracyError):
             grid_helstrom(params, SpatialGrid.for_separation(1.0, n_points=101))
 
+    def test_wide_window_at_too_coarse_a_spacing_refused(self):
+        # enough points for the check on their count, too few for the k = 10 window
+        grid = SpatialGrid.for_separation(10.0, 1001)
+        with pytest.raises(GridAccuracyError, match=r"^spacing 0\.026 exceeds 0\.02 sigma$"):
+            grid_helstrom(ScenarioParams(10.0, 0.3, 1.0, 0.4), grid)
+
 
 class TestEquivalenceReport:
     def test_default_grid_passes(self):

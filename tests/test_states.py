@@ -27,7 +27,7 @@ from cohdet import (
     sweep_rows,
 )
 import cohdet.kernel
-from cohdet.kernel import BoundReport, _pair_terms, _prior_terms, effective_coherence
+from cohdet.kernel import BoundReport, _pair_terms, _prior_terms
 
 # Frozen reference values, confirmed against the spatial-grid oracle before
 # being written down here (see test_oracle.py for the independent path).
@@ -59,23 +59,25 @@ class TestOverlap:
 
 
 class TestEffectiveCoherence:
+    """c = gamma*cos(theta), as ScenarioParams forms it from the reduced phase."""
+
     def test_simple_values(self):
-        assert effective_coherence(0.1, 0.0) == 0.1
-        assert effective_coherence(0.9, math.pi) == pytest.approx(-0.9, abs=1e-15)
-        assert effective_coherence(0.9, math.pi / 3) == pytest.approx(0.45, abs=1e-12)
+        assert ScenarioParams(1.0, 0.1, 0.0).c == 0.1
+        assert ScenarioParams(1.0, 0.9, math.pi).c == pytest.approx(-0.9, abs=1e-15)
+        assert ScenarioParams(1.0, 0.9, math.pi / 3).c == pytest.approx(0.45, abs=1e-12)
 
     @given(finite_floats(0.0, 1.0), finite_floats(-50.0, 50.0))
     def test_range(self, gamma, theta):
-        assert -1.0 <= effective_coherence(gamma, theta) <= 1.0
+        assert -1.0 <= ScenarioParams(1.0, gamma, theta).c <= 1.0
 
     @pytest.mark.parametrize("bad", [-0.1, 1.1, math.nan])
     def test_rejects_bad_strength(self, bad):
         with pytest.raises(DomainError):
-            effective_coherence(bad, 0.0)
+            ScenarioParams(1.0, bad, 0.0)
 
     def test_rejects_nonfinite_phase(self):
         with pytest.raises(DomainError):
-            effective_coherence(0.5, math.inf)
+            ScenarioParams(1.0, 0.5, math.inf)
 
 
 class TestCountChecks:
@@ -294,6 +296,12 @@ class TestScenarioParams:
         object.__setattr__(twin, "_record", ())
         assert twin == params and hash(twin) == hash(params) and repr(twin) == repr(params)
 
+    def test_never_equals_a_tuple_of_its_fields(self):
+        # __eq__ leaves another class to Python (NotImplemented), which falls back to identity
+        params = ScenarioParams(1.0, 0.5)
+        assert (params == (1.0, 0.5, 0.0, 0.5)) is False
+        assert params != (1.0, 0.5, 0.0, 0.5)
+
     @pytest.fixture
     def kernel_passes(self, monkeypatch):
         """A list that records the prior of every `_prior_terms` call."""
@@ -339,4 +347,4 @@ class TestScenarioParams:
     @given(scenario_params())
     def test_derived_values_equal_the_public_functions(self, params):
         assert params.delta.hex() == overlap(params.k).hex()
-        assert params.c.hex() == effective_coherence(params.gamma, params.theta).hex()
+        assert params.c.hex() == (params.gamma * math.cos(params.theta)).hex()

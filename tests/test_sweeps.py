@@ -142,13 +142,13 @@ class TestFormatSig:
 
 class TestSweepSpec:
     def test_grid_endpoints_are_exact(self):
-        spec = SweepSpec(0.0, 5.0, 11, 0.0, 1.0, 5)
-        assert spec.k_values()[0] == 0.0 and spec.k_values()[-1] == 5.0
-        assert spec.p_values() == [0.0, 0.25, 0.5, 0.75, 1.0]
+        rows = sweep_rows(SweepSpec(0.0, 5.0, 11, 0.0, 1.0, 5))
+        assert rows[0].k == 0.0 and rows[-1].k == 5.0
+        assert [row.p for row in rows[:5]] == [0.0, 0.25, 0.5, 0.75, 1.0]
 
     def test_single_point_ranges_allowed(self):
-        spec = SweepSpec(1.0, 1.0, 1, 0.5, 0.5, 1)
-        assert spec.k_values() == [1.0] and spec.p_values() == [0.5]
+        rows = sweep_rows(SweepSpec(1.0, 1.0, 1, 0.5, 0.5, 1))
+        assert [(row.k, row.p) for row in rows] == [(1.0, 0.5)]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -171,7 +171,7 @@ class TestSweepSpec:
     def test_streamed_separations_are_the_listed_ones(self, k_min, k_max, k_steps):
         spec = SweepSpec(k_min, k_max, k_steps, 0.0, 1.0, 2)
         streamed = [block[0] for block in _blocks(spec)]
-        assert streamed == spec.k_values() == linspace(k_min, k_max, k_steps)
+        assert streamed == linspace(k_min, k_max, k_steps)
         assert streamed[-1] == k_max
 
     def test_stream_holds_no_list_of_separations(self):
@@ -197,6 +197,28 @@ class TestSweepSpec:
         assert next(chunks) == CSV_HEADER + "\n"
         with pytest.raises(DomainError, match=message):
             next(chunks)
+
+    @pytest.mark.parametrize("p_steps", [cohdet.sweeps.MAX_PRIORS + 1, 10**8])
+    def test_more_priors_than_a_row_holds_are_refused(self, p_steps):
+        # refused after drawing MAX_PRIORS + 1 priors, before any row is built
+        spec = SweepSpec(0.0, 1.0, 2, 0.0, 1.0, p_steps)
+        message = f"^p_steps must be at most 100000, got {p_steps}$"
+        with pytest.raises(DomainError, match=message):
+            sweep_rows(spec)
+        chunks = stream_sweep(spec)
+        assert next(chunks) == CSV_HEADER + "\n"
+        with pytest.raises(DomainError, match=message):
+            next(chunks)
+
+    def test_a_row_of_max_priors_renders(self):
+        spec = SweepSpec(1.0, 1.0, 1, 0.0, 1.0, cohdet.sweeps.MAX_PRIORS)
+        lines = "".join(stream_sweep(spec)).splitlines()
+        assert len(lines) == 1 + cohdet.sweeps.MAX_PRIORS
+        assert lines[1].startswith("1.00000000,0.00000000,")
+        assert lines[-1].startswith("1.00000000,1.00000000,")
+
+    def test_axes_are_drawn_by_the_sweep_alone(self):
+        assert not hasattr(SweepSpec, "k_values") and not hasattr(SweepSpec, "p_values")
 
 
 class TestSweepRows:
@@ -319,7 +341,8 @@ class TestFastPath:
     def test_rows_equal_scalar_path(self, spec):
         rows = sweep_rows(spec)
         assert [(row.k, row.p) for row in rows] == [
-            (k, p) for k in spec.k_values() for p in spec.p_values()
+            (k, p) for k in linspace(spec.k_min, spec.k_max, spec.k_steps)
+            for p in linspace(spec.p_min, spec.p_max, spec.p_steps)
         ]
         for row in rows:
             try:
