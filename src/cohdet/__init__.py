@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 _MODULES = {
     "errors": ("CohdetError", "DegenerateScenarioError", "DomainError", "GridAccuracyError"),
     "kernel": ("Observable2", "ScenarioParams", "bound_report", "helstrom_bound", "lambda_matrix",
-               "overlap", "qod_advantage", "rho2", "spade_advantage", "spade_error"),
+               "overlap", "qod_advantage", "rho2", "spade_advantage"),
     "montecarlo": ("TrialConfig", "run_simulation"),
     "oracle": ("SpatialGrid", "equivalence_report", "grid_helstrom", "grid_overlap", "grid_rho2"),
     "sweeps": ("CSV_HEADER", "SweepSpec", "render_csv", "render_json", "sweep_rows"),

@@ -310,17 +310,6 @@ def bound_report(params: ScenarioParams) -> BoundReport:
     return tuple.__new__(BoundReport, (params.delta, pair[0], *record[:8], pair[5], record[10]))
 
 
-def spade_error(delta: float, c: float, p: float) -> float:
-    """Error probability of the mode-sorting decision rule with prior p.
-
-    The rule never errs under H1, so the only contribution is the prior
-    weight p times the probability that a two-source photon hides in the
-    Gaussian mode.
-    """
-    _require_prior(p)
-    return p * rho2(delta, c).a11
-
-
 def spade_advantage(params: ScenarioParams) -> float:
     """Ratio of the blind-guess error to the mode-sorting error."""
     return params._record[9]

@@ -141,23 +141,21 @@ _Sample = namedtuple("_Sample", "overlap proj0 projs delta dm")
 
 def _sample(k: float, grid: SpatialGrid | None) -> _Sample:
     """Per-k stage, on `SpatialGrid.for_separation(k)` by default.  The basis
-    comes from Gram-Schmidt on the sampled vectors with one
-    re-orthogonalization pass, and psi0 and psis always have two components
-    in it: when the pair is numerically colinear (coincident sources) there
-    is no second basis vector, and their second components are 0."""
+    is psi0, unit-norm from `psf_state`, and the Gram-Schmidt remainder of
+    psis with one re-orthogonalization pass; psi0 and psis always have two
+    components in it: when the pair is numerically colinear (coincident
+    sources) there is no second basis vector, and their second components are 0."""
     _require_separation(k)
     if grid is None:
         grid = SpatialGrid.for_separation(k)
     grid.require_accuracy(k)
     psi0, psis = psf_state(grid, 0.0), psf_state(grid, k)
-    root = math.sqrt(_inner(grid, psi0, psi0))
-    e0 = [a / root for a in psi0]
-    along = _inner(grid, e0, psis)
-    w = [s - along * e for s, e in zip(psis, e0)]
-    along = _inner(grid, e0, w)
-    w = [v - along * e for v, e in zip(w, e0)]
+    along = _inner(grid, psi0, psis)
+    w = [s - along * e for s, e in zip(psis, psi0)]
+    along = _inner(grid, psi0, w)
+    w = [v - along * e for v, e in zip(w, psi0)]
     norm = math.sqrt(_inner(grid, w, w))
-    proj0, projs = [_inner(grid, psi0, e0), 0.0], [_inner(grid, psis, e0), 0.0]
+    proj0, projs = [_inner(grid, psi0, psi0), 0.0], [_inner(grid, psis, psi0), 0.0]
     if norm >= _COLINEAR_EPS:
         e1 = [v / norm for v in w]
         proj0[1], projs[1] = _inner(grid, psi0, e1), _inner(grid, psis, e1)

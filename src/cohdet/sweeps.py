@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import groupby, islice
+from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -39,7 +39,7 @@ COLUMNS: tuple[str, ...] = tuple(CSV_HEADER.split(","))
 #: parameter point; their numeric result columns stay empty.
 DEGENERATE_SENTINEL = "degenerate"
 
-#: The most priors a sweep takes: it holds one row of them, at a peak of some
+#: The most priors a sweep takes: its spec holds one row of them, at a peak of some
 #: 1.3 KiB per prior in CSV and 1.6 KiB in JSON; more are a DomainError.
 MAX_PRIORS = 10**5
 
@@ -84,22 +84,19 @@ def _json_number(x: float) -> str:
 
 def _linspace(lo: float, hi: float, n: int) -> Iterator[float]:
     """n evenly spaced values from lo to hi, one at a time; the last is hi.
-    A count beyond a double has no spacing: DomainError at the first value."""
-    try:
-        gaps = float(n - 1)
-    except OverflowError:
-        raise DomainError(
-            f"range {lo!r}:{hi!r} has too many steps for a floating-point spacing (about 1.8e308 at most)"
-        ) from None
+    n - 1 must convert to a double, as `SweepSpec` checks."""
+    gaps = float(n - 1)
     for i in range(n - 1):
         yield lo + (hi - lo) * i / gaps
-    yield hi if n > 1 else lo
+    yield hi
 
 
 class SweepSpec(_Record):
-    """Rectangular (k, p) grid at fixed coherence."""
+    """Rectangular (k, p) grid at fixed coherence, checked whole when built.
+    _c (c as `ScenarioParams` forms it) and _ps (the priors) serve every k."""
 
-    __slots__ = _fields = ("k_min", "k_max", "k_steps", "p_min", "p_max", "p_steps", "gamma", "theta")
+    _fields = ("k_min", "k_max", "k_steps", "p_min", "p_max", "p_steps", "gamma", "theta")
+    __slots__ = (*_fields, "_c", "_ps")
 
     def __init__(
         self, k_min: float, k_max: float, k_steps: int, p_min: float, p_max: float, p_steps: int,
@@ -118,8 +115,17 @@ class SweepSpec(_Record):
             raise DomainError(f"p range must lie in [0, 1], got [{p_min!r}, {p_max!r}]")
         _require_gamma(gamma)
         _require_phase(theta)
-        values = k_min, k_max, k_steps, p_min, p_max, p_steps, gamma, theta
-        for name, value in zip(self._fields, values):
+        for lo, hi, steps in (k_min, k_max, k_steps), (p_min, p_max, p_steps):
+            try:  # a count beyond a double has no spacing
+                float(steps - 1)
+            except OverflowError:
+                raise DomainError(f"range {lo!r}:{hi!r} has too many steps for a floating-point spacing"
+                                  " (about 1.8e308 at most)") from None
+        if p_steps > MAX_PRIORS:
+            raise DomainError(f"p_steps must be at most {MAX_PRIORS}, got {p_steps}")
+        c, ps = gamma * math.cos(theta % _TWO_PI), tuple(_linspace(p_min, p_max, p_steps))
+        values = k_min, k_max, k_steps, p_min, p_max, p_steps, gamma, theta, c, ps
+        for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
 
@@ -145,15 +151,9 @@ class SweepRow(NamedTuple):
 def _blocks(spec: SweepSpec) -> Iterator[tuple]:
     """The sweep's kernel pass, one block per separation: (k, gamma, theta,
     delta, ps, records), with the `_prior_terms` record of each prior in ps,
-    or records None on the singular point.  The kernel's first half runs
-    once per k, its second half once per cell.  The spec is valid, so c is
-    formed as `ScenarioParams` forms it, and only the singular point and
-    the prior count, at most MAX_PRIORS before a row is built, are checked."""
-    gamma, theta = spec.gamma, spec.theta
-    c = gamma * math.cos(theta % _TWO_PI)
-    ps = list(islice(_linspace(spec.p_min, spec.p_max, spec.p_steps), MAX_PRIORS + 1))
-    if len(ps) > MAX_PRIORS:
-        raise DomainError(f"p_steps must be at most {MAX_PRIORS}, got {spec.p_steps}")
+    or records None on the singular point, the one check left to a sweep.
+    The kernel's first half runs once per k, its second half once per cell."""
+    gamma, theta, c, ps = spec.gamma, spec.theta, spec._c, spec._ps
     # Each k from its index, so a sweep holds no list of its separations.
     for k in _linspace(spec.k_min, spec.k_max, spec.k_steps):
         delta, dm = _separation_terms(k)
@@ -249,8 +249,8 @@ def _render(blocks: Iterable[tuple], as_json: bool) -> Iterator[str]:
 
 
 def stream_sweep(spec: SweepSpec, as_json: bool = False) -> Iterator[str]:
-    """The CSV or JSON text of `spec`, computed and rendered one separation
-    at a time, so that a caller can write each chunk as it comes."""
+    """The CSV or JSON text of `spec`, one chunk per separation as it is
+    computed; the spec was checked whole when built, so no chunk is refused."""
     return _render(_blocks(spec), as_json)
 
 

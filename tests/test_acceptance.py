@@ -26,10 +26,10 @@ from cohdet import (
     qod_advantage,
     run_simulation,
     spade_advantage,
-    spade_error,
     sweep_rows,
 )
 from cohdet.cli import main
+from cohdet.kernel import _pair_terms, _prior_terms
 
 THETAS = (0.0, math.pi / 3, 2 * math.pi / 3, math.pi)
 GOLDEN_PATH = Path(__file__).parent / "data" / "fig2a_advantage_map.sha256"
@@ -52,8 +52,8 @@ def test_criterion_1_coincident_source_identity():
         params = ScenarioParams(k=0.0, gamma=gamma, theta=theta, p=p)
         a_qod = qod_advantage(params)
         assert abs(a_qod - 1.0) <= 1e-10, f"a_qod(k=0) = {a_qod!r} at {params}"
-        p_err = spade_error(1.0, params.c, 0.5)
-        assert abs(p_err - 0.5) <= 1e-12, f"spade_error(k=0, p=0.5) = {p_err!r}"
+        p_err = _prior_terms(_pair_terms(1.0, 0.0, params.c), 0.5)[8]
+        assert abs(p_err - 0.5) <= 1e-12, f"p_err_spade(k=0, p=0.5) = {p_err!r}"
         checked += 1
     _pass(1, "50 random admissible scenarios")
 
@@ -114,7 +114,7 @@ def test_criterion_4_global_optimality_ordering():
                     even = ScenarioParams(k=k, gamma=gamma, theta=theta, p=0.5)
                 except DegenerateScenarioError:
                     continue
-                assert helstrom_bound(even) <= spade_error(even.delta, even.c, 0.5) + 1e-12
+                assert helstrom_bound(even) <= even._record[8] + 1e-12
     assert skipped == 21  # only the singular point k=0, gamma=1, theta=pi
     _pass(4, f"21x21x5x4 grid, {skipped} singular points skipped")
 

@@ -18,6 +18,9 @@ from cohdet.kernel import BoundReport
 #: What the installed `cohdet` console script runs.
 ENTRY = "import sys; from cohdet.cli import main; sys.exit(main())"
 
+#: The refusal of a step count beyond a double, for the range 0:1.
+SPACING = "range 0.0:1.0 has too many steps for a floating-point spacing (about 1.8e308 at most)"
+
 
 def _reject_constant(token):
     raise ValueError(f"non-finite JSON constant {token}")
@@ -212,19 +215,47 @@ class TestSweepCommands:
         ["spade", "--k-range", f"0:1:{10**400}"],
     ], ids=["map-k", "map-p", "spade-k"])
     def test_step_count_beyond_a_double_exits_2(self, argv):
-        # refused when the sweep starts, after the opening chunk, and without the count's 401 digits
+        # refused when the spec is built, before any output, and without the count's 401 digits
         result = run_python("-c", ENTRY, *argv)
         assert result.returncode == 2
-        assert result.stdout == cohdet.CSV_HEADER + "\n"
-        assert result.stderr == (
-            "error: range 0.0:1.0 has too many steps for a floating-point spacing (about 1.8e308 at most)\n")
+        assert result.stdout == ""
+        assert result.stderr == f"error: {SPACING}\n"
 
     @pytest.mark.parametrize("p_steps", ["100001", "100000000"])
     def test_more_priors_than_a_row_holds_exit_2(self, capsys, p_steps):
-        # refused after the opening chunk, before a row of priors is built
+        # refused when the spec is built, before any output or row of priors
         code, out, err = run_cli(capsys, "advantage-map", "--k-range", "0:1:2", "--p-range", f"0:1:{p_steps}")
-        assert (code, out) == (2, cohdet.CSV_HEADER + "\n")
+        assert (code, out) == (2, "")
         assert err == f"error: p_steps must be at most 100000, got {p_steps}\n"
+
+    #: Each way a sweep's flags are refused, with the error that names it.
+    REFUSALS = {
+        "k-reversed": (["advantage-map", "--k-range", "1:0:2", "--p-range", "0:1:2"], "invalid k range [1.0, 0.0]"),
+        "k-negative": (["advantage-map", "--k-range=-1:1:2", "--p-range", "0:1:2"],
+                       "k range must be nonnegative, got min -1.0"),
+        "k-one-step": (["spade", "--k-range", "0:1:1"], "k_steps must be >= 2 for a true interval, got 1"),
+        "p-outside": (["advantage-map", "--k-range", "0:1:2", "--p-range", "0:2:3"],
+                      "p range must lie in [0, 1], got [0.0, 2.0]"),
+        "spade-p": (["spade", "--k-range", "0:1:2", "--p", "2"], "p range must lie in [0, 1], got [2.0, 2.0]"),
+        "gamma": (["advantage-map", "--k-range", "0:1:2", "--p-range", "0:1:2", "--gamma", "1.5"],
+                  "coherence strength gamma must lie in [0, 1], got 1.5"),
+        "theta": (["spade", "--k-range", "0:1:2", "--theta", "inf"], "coherence phase theta must be finite, got inf"),
+        "map-k-beyond-a-double": (["advantage-map", "--k-range", f"0:1:{10**400}", "--p-range", "0:1:2"], SPACING),
+        "map-p-beyond-a-double": (["advantage-map", "--k-range", "0:1:2", "--p-range", f"0:1:{10**400}"], SPACING),
+        "spade-k-beyond-a-double": (["spade", "--k-range", f"0:1:{10**400}"], SPACING),
+        "too-many-priors": (["advantage-map", "--k-range", "0:1:2", "--p-range", "0:1:100001"],
+                            "p_steps must be at most 100000, got 100001"),
+    }
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_every_refusal_comes_before_any_output(self, capsys, tmp_path, case, fmt, to_file):
+        argv, message = self.REFUSALS[case]
+        target = tmp_path / f"sweep.{fmt}"
+        code, out, err = run_cli(capsys, *argv, "--format", fmt, *(["--output", str(target)] if to_file else []))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not target.exists()
 
     def test_spade_rows_per_separation(self, capsys):
         code, out, err = run_cli(
@@ -480,7 +511,7 @@ class TestStartup:
         "Observable2", "ScenarioParams", "SpatialGrid", "SweepSpec", "TrialConfig", "bound_report",
         "equivalence_report", "grid_helstrom", "grid_overlap", "grid_rho2", "helstrom_bound",
         "lambda_matrix", "overlap", "qod_advantage", "render_csv", "render_json", "rho2",
-        "run_simulation", "spade_advantage", "spade_error", "sweep_rows",
+        "run_simulation", "spade_advantage", "sweep_rows",
     }
 
     #: Names dropped from the package namespace, by the module that keeps them.
@@ -496,11 +527,12 @@ class TestStartup:
     #: eigenvalues_sym2, normalization, rho1 and useless_boundary second routes to
     #: values that bound_report gives (and rho1 the constant Observable2(1.0, 0.0, 0.0)),
     #: formatter a second token path beside format_sig and the JSON null,
-    #: _admissible_pair a second checked (delta, c) entry beside rho2, and
-    #: effective_coherence a second definition of c, of the unreduced phase.
+    #: _admissible_pair a second checked (delta, c) entry beside rho2,
+    #: effective_coherence a second definition of c, of the unreduced phase, and
+    #: spade_error a second route to the p_err_spade that every record holds.
     DELETED = ("DensityMatrix2", "GridState", "IDENTITY_TOL", "_admissible_pair", "direct_error",
                "effective_coherence", "eigenvalues_sym2", "formatter", "in_useless_region",
-               "normalization", "rho1", "sweep_row", "trace_norm", "useless_boundary")
+               "normalization", "rho1", "spade_error", "sweep_row", "trace_norm", "useless_boundary")
 
     def test_package_import_loads_no_submodule(self):
         code = (
@@ -562,7 +594,7 @@ class TestStartup:
 
     def test_every_public_name_resolves(self):
         assert set(cohdet.__all__) == self.NAMES
-        assert len(cohdet.__all__) == 26
+        assert len(cohdet.__all__) == 25
         for name in cohdet.__all__:
             assert getattr(cohdet, name) is not None
         from cohdet import TrialConfig, grid_rho2

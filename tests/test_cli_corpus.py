@@ -69,6 +69,8 @@ def _other_argv():
         ["spade", "--k-range", "1:0:3"],
         ["bound", "--k", "1", "--gamma", "2"],
         ["advantage-map", "--k-range", "0:1:2", "--p-range", "0:2:3"],
+        ["advantage-map", "--k-range", "0:1:2", "--p-range", "0:1:100001"],
+        ["spade", "--k-range", f"0:1:{10**400}"],
     ]
     return simulate + [["verify", "--grid-points", "1001"]] + refused
 

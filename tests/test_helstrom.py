@@ -15,7 +15,6 @@ from cohdet import (
     lambda_matrix,
     qod_advantage,
     spade_advantage,
-    spade_error,
 )
 
 # Frozen reference values (confirmed against the grid oracle and the
@@ -258,7 +257,7 @@ class TestBoundReport:
         assert report.a_qod == qod_advantage(params)
         p_star = (2.0 + 2.0 * delta * c) / (3.0 + 2.0 * delta * c - c * c)
         assert report.p_star == pytest.approx(p_star, rel=1e-9)
-        p_err, a_d = spade_error(params.delta, params.c, params.p), spade_advantage(params)
+        p_err, a_d = params._record[8], spade_advantage(params)
         if params.p == 0.0:
             assert a_d == 1.0
         elif p_err >= sys.float_info.min:

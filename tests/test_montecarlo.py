@@ -8,7 +8,8 @@ import pytest
 from conftest import run_python
 
 import cohdet.montecarlo as montecarlo
-from cohdet import DomainError, ScenarioParams, TrialConfig, run_simulation, spade_error
+from cohdet import DomainError, ScenarioParams, TrialConfig, run_simulation
+from cohdet.kernel import _pair_terms, _prior_terms
 from cohdet.montecarlo import SHARD_SIZE, _count_errors
 
 BASE = ScenarioParams(k=2.0, gamma=0.0, theta=0.0, p=0.5)
@@ -60,7 +61,7 @@ class TestRunSimulation:
     def test_error_rate_matches_analytic_rate(self):
         config = TrialConfig(BASE, 10**6, 42)
         result = run_simulation(config)
-        assert result.analytic_p_err == spade_error(BASE.delta, BASE.c, BASE.p)
+        assert result.analytic_p_err == _prior_terms(_pair_terms(BASE.delta, 1.0 - BASE.delta, BASE.c), BASE.p)[8]
         assert result.std_err == math.sqrt(
             result.analytic_p_err * (1.0 - result.analytic_p_err) / result.n_trials
         )
@@ -71,7 +72,7 @@ class TestRunSimulation:
         # analytic value (1 + d^2 - 1.8 d) / (4 (1 - 0.9 d)) with d = exp(-1/8)
         d = math.exp(-0.125)
         expected = (1.0 + d * d - 1.8 * d) / (4.0 * (1.0 - 0.9 * d))
-        assert spade_error(params.delta, params.c, 0.5) == pytest.approx(expected, abs=1e-15)
+        assert params._record[8] == pytest.approx(expected, abs=1e-15)
         result = run_simulation(TrialConfig(params, 10**6, 1))
         assert abs(result.error_rate - expected) <= 3.0 * result.std_err
 

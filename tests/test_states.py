@@ -28,6 +28,7 @@ from cohdet import (
 )
 import cohdet.kernel
 from cohdet.kernel import BoundReport, _pair_terms, _prior_terms
+from cohdet.sweeps import stream_sweep
 
 # Frozen reference values, confirmed against the spatial-grid oracle before
 # being written down here (see test_oracle.py for the independent path).
@@ -113,8 +114,19 @@ class TestCountChecks:
         built = self.MAKERS[field](3.0)
         assert type(getattr(built, field)) is int and getattr(built, field) == 3
         self.USES[field](built)
-        # Compared as an int, never through float; too large to use.
-        assert getattr(self.MAKERS[field](10**400), field) == 10**400
+        # Compared as an int, never through float: 2**60 + 1 has no double.
+        big = 2**60 + 1
+        if field == "p_steps":  # a sweep holds at most MAX_PRIORS priors
+            with pytest.raises(DomainError, match=f"^p_steps must be at most 100000, got {big}$"):
+                self.MAKERS[field](big)
+        else:
+            assert getattr(self.MAKERS[field](big), field) == big
+        # Beyond a double, a sweep has no spacing; the other counts are kept.
+        if field.endswith("_steps"):
+            with pytest.raises(DomainError, match=r"^range 0\.0:1\.0 has too many steps for a floating-point"):
+                self.MAKERS[field](10**400)
+        else:
+            assert getattr(self.MAKERS[field](10**400), field) == 10**400
 
 
 class TestNormalization:
@@ -343,6 +355,17 @@ class TestScenarioParams:
         assert twin._pair == params._pair and twin._record == params._record
         other = ScenarioParams(k=1.5, gamma=0.25, theta=7.0, p=0.25)
         assert other != params and other._pair == params._pair
+
+    @pytest.mark.parametrize("rebuild", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))])
+    def test_sweep_spec_copies_rebuild_from_the_eight_fields(self, rebuild):
+        spec = SweepSpec(0.0, 3.0, 4, 0.125, 0.875, 5, gamma=0.5, theta=7.0)
+        assert repr(spec) == (
+            "SweepSpec(k_min=0.0, k_max=3.0, k_steps=4, p_min=0.125, p_max=0.875, p_steps=5, gamma=0.5, theta=7.0)")
+        twin = rebuild(spec)
+        assert twin is not spec and twin == spec and hash(twin) == hash(spec)
+        assert twin._c == spec._c and twin._ps == spec._ps
+        for as_json in False, True:
+            assert list(stream_sweep(twin, as_json)) == list(stream_sweep(spec, as_json))
 
     @given(scenario_params())
     def test_derived_values_equal_the_public_functions(self, params):

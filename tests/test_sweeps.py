@@ -187,28 +187,17 @@ class TestSweepSpec:
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("k_steps, p_steps", [(10**400, 2), (2, 10**400)], ids=["k", "p"])
-    def test_count_beyond_a_double_is_refused_where_used(self, k_steps, p_steps):
-        # the spec takes a count of any size; one beyond a double has no spacing
-        spec = SweepSpec(0.0, 1.0, k_steps, 0.0, 1.0, p_steps)
+    def test_count_beyond_a_double_is_refused_at_construction(self, k_steps, p_steps):
+        # the count check takes a count of any size; one beyond a double has no spacing
         message = r"^range 0\.0:1\.0 has too many steps for a floating-point spacing \(about 1\.8e308 at most\)$"
         with pytest.raises(DomainError, match=message):
-            sweep_rows(spec)
-        chunks = stream_sweep(spec)
-        assert next(chunks) == CSV_HEADER + "\n"
-        with pytest.raises(DomainError, match=message):
-            next(chunks)
+            SweepSpec(0.0, 1.0, k_steps, 0.0, 1.0, p_steps)
 
     @pytest.mark.parametrize("p_steps", [cohdet.sweeps.MAX_PRIORS + 1, 10**8])
     def test_more_priors_than_a_row_holds_are_refused(self, p_steps):
-        # refused after drawing MAX_PRIORS + 1 priors, before any row is built
-        spec = SweepSpec(0.0, 1.0, 2, 0.0, 1.0, p_steps)
-        message = f"^p_steps must be at most 100000, got {p_steps}$"
-        with pytest.raises(DomainError, match=message):
-            sweep_rows(spec)
-        chunks = stream_sweep(spec)
-        assert next(chunks) == CSV_HEADER + "\n"
-        with pytest.raises(DomainError, match=message):
-            next(chunks)
+        # refused before the spec draws a row of priors
+        with pytest.raises(DomainError, match=f"^p_steps must be at most 100000, got {p_steps}$"):
+            SweepSpec(0.0, 1.0, 2, 0.0, 1.0, p_steps)
 
     def test_a_row_of_max_priors_renders(self):
         spec = SweepSpec(1.0, 1.0, 1, 0.0, 1.0, cohdet.sweeps.MAX_PRIORS)
