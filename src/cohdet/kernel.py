@@ -74,6 +74,14 @@ def _require_count(value: int, minimum: int, what: str) -> int:
     return int(value)
 
 
+def _require_spacing(count: int, what: str) -> None:
+    """Refuse a count beyond a double: it gives no floating-point spacing."""
+    try:
+        float(count - 1)
+    except OverflowError:
+        raise DomainError(f"{what} (about 1.8e308 at most)") from None
+
+
 def overlap(k: float) -> float:
     """Overlap of the two point-spread states at dimensionless separation k."""
     _require_separation(k)

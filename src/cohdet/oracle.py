@@ -26,7 +26,7 @@ from typing import NamedTuple
 from .errors import DomainError, GridAccuracyError
 from .kernel import (
     Observable2, ScenarioParams, _pair_terms, _prior_terms, _Record, _require_count,
-    _require_effective_coherence, _require_prior, _require_separation, _separation_terms,
+    _require_effective_coherence, _require_prior, _require_separation, _require_spacing, _separation_terms,
 )
 
 #: The agreement between grid space and closed form that `verify` promises,
@@ -58,6 +58,9 @@ class SpatialGrid(_Record):
         if not (math.isfinite(x_min) and math.isfinite(x_max)) or x_max <= x_min:
             raise DomainError(f"invalid grid window [{x_min!r}, {x_max!r}]")
         n_points = _require_count(n_points, 2, "n_points must be an integer >= 2")
+        _require_spacing(n_points, "n_points too large for a floating-point grid spacing")
+        if n_points > MAX_POINTS:
+            raise DomainError(f"n_points must be at most {MAX_POINTS}, got {n_points}")
         for name, value in zip(self.__slots__, (x_min, x_max, n_points, None)):
             object.__setattr__(self, name, value)
 
@@ -70,23 +73,14 @@ class SpatialGrid(_Record):
 
     @property
     def spacing(self) -> float:
-        """The step between points; a count too large for a double has none,
-        a DomainError raised before anything is sampled."""
-        try:
-            return (self.x_max - self.x_min) / (self.n_points - 1)
-        except OverflowError:
-            raise DomainError(
-                "n_points too large for a floating-point grid spacing (about 1.8e308 at most)"
-            ) from None
+        """The step between points."""
+        return (self.x_max - self.x_min) / (self.n_points - 1)
 
     @property
     def xs(self) -> tuple[float, ...]:
         """The points x_min + i*spacing, ending exactly at x_max, built on
-        first use as a tuple that no caller can change; more than MAX_POINTS
-        are refused before any is built."""
+        first use as a tuple that no caller can change."""
         if self._xs is None:
-            if self.n_points > MAX_POINTS:
-                raise DomainError(f"n_points must be at most {MAX_POINTS}, got {self.n_points}")
             x_min, step = self.x_min, self.spacing
             xs = tuple([x_min + i * step for i in range(self.n_points - 1)]) + (self.x_max,)
             object.__setattr__(self, "_xs", xs)
@@ -150,16 +144,16 @@ def _sample(k: float, grid: SpatialGrid | None) -> _Sample:
         grid = SpatialGrid.for_separation(k)
     grid.require_accuracy(k)
     psi0, psis = psf_state(grid, 0.0), psf_state(grid, k)
-    along = _inner(grid, psi0, psis)
-    w = [s - along * e for s, e in zip(psis, psi0)]
+    overlap = _inner(grid, psi0, psis)  # also psis's component along psi0: the products commute
+    w = [s - overlap * e for s, e in zip(psis, psi0)]
     along = _inner(grid, psi0, w)
     w = [v - along * e for v, e in zip(w, psi0)]
     norm = math.sqrt(_inner(grid, w, w))
-    proj0, projs = [_inner(grid, psi0, psi0), 0.0], [_inner(grid, psis, psi0), 0.0]
+    proj0, projs = [_inner(grid, psi0, psi0), 0.0], [overlap, 0.0]
     if norm >= _COLINEAR_EPS:
         e1 = [v / norm for v in w]
         proj0[1], projs[1] = _inner(grid, psi0, e1), _inner(grid, psis, e1)
-    return _Sample(_inner(grid, psi0, psis), proj0, projs, *_separation_terms(k))
+    return _Sample(overlap, proj0, projs, *_separation_terms(k))
 
 
 def _project(sample: _Sample, c: float) -> tuple[tuple, list[list[float]], Observable2]:

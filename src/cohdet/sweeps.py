@@ -10,17 +10,17 @@ regression tests.
 separation, so a sweep writes in the memory of one grid row of priors;
 `sweep_rows` with `render_csv` or `render_json` gives the same text from a
 list of rows, each holding a number in every numeric field unless degenerate.
-Both render through `_render`, the one renderer, which formats a value once
-where the grid repeats it exactly: p once per spec, d_err once per run of
-equal values, k and delta once per separation, and o_err, a_qod and a_d not
-where they repeat d_err or the previous cell's value: the golden map formats
-2.9 values per cell for its 10 numeric columns.
+Both render through `_render`, the one renderer, which formats each block as
+one run of `_format_run`, the one token path, and a value the grid repeats
+exactly once: p, gamma and theta once per spec, d_err once per run of equal
+values, k and delta once per separation, and o_err not where it equals d_err:
+the golden map converts 2.90 values per cell for its 10 numeric columns.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import sys
 from collections.abc import Iterable, Iterator
 from itertools import groupby
 from operator import itemgetter
@@ -29,7 +29,7 @@ from typing import NamedTuple
 from .errors import DegenerateScenarioError, DomainError
 from .kernel import (
     _TWO_PI, _pair_terms, _prior_terms, _Record, _require_count, _require_gamma, _require_phase,
-    _separation_terms,
+    _require_spacing, _separation_terms,
 )
 
 CSV_HEADER = "k,p,gamma,theta,delta,o_err,d_err,a_qod,p_err_spade,a_d,useless"
@@ -43,12 +43,6 @@ DEGENERATE_SENTINEL = "degenerate"
 #: 1.3 KiB per prior in CSV and 1.6 KiB in JSON; more are a DomainError.
 MAX_PRIORS = 10**5
 
-_MAX_FINITE = sys.float_info.max
-
-#: The format spec of each decade e a double can round into: the decimals
-#: that leave 9 significant digits, and none from 10**8 up.
-_SPEC = {e: f".{8 - e}f" if e < 8 else ".0f" for e in range(-324, 310)}
-
 
 def format_sig(x: float) -> str:
     """x as a plain decimal with no exponent, rounded half-even from its exact
@@ -56,30 +50,54 @@ def format_sig(x: float) -> str:
     value falls in: 9 significant digits below 10**9, and from there up x
     rounded to an integer with every digit printed (4e12 prints as
     4000000000000).  Zero prints as 0.00000000, and nan and the infinities as
-    Python prints them: nan, inf and -inf."""
-    magnitude = abs(x)
-    if 0.0 < magnitude <= _MAX_FINITE:
-        exponent = math.floor(math.log10(magnitude))
-        text = f"{x:{_SPEC[exponent]}}"
-        # The token sits in the next decade only if its rounding crossed into
-        # it (0.9999999996 -> 1.000000000) or log10 undershot, and the text
-        # alone tells: below 1, the first significant place then holds a 0;
-        # from 1 to 10**8, the unsigned token has 11 characters, not 10; from
-        # 10**8 up, both decades print no decimals.
-        if exponent < 0:
-            if text[1 - exponent + (x < 0.0)] != "0":
-                return text
-        elif exponent >= 8 or len(text) - (x < 0.0) == 10:
-            return text
-        return f"{x:{_SPEC[exponent + 1]}}"
-    if x == 0.0:
-        return "0.00000000"
-    return f"{x}"
+    Python prints them: nan, inf and -inf.  The run of one `_format_run` makes."""
+    return _format_run((x,))[0]
 
 
-def _json_number(x: float) -> str:
-    """format_sig, or null for a non-finite x, which JSON has no token for."""
-    return format_sig(x) if math.isfinite(x) else "null"
+def _format_run(values: Iterable[float], as_json: bool = False) -> list[str]:
+    """The format_sig token of each value, or in JSON null for a non-finite one.
+    A value equal to its neighbour shares its token, and the window of the last
+    positive value's decade is carried: a value in it is converted with its spec
+    alone.  Zeros, negatives and non-finite values are formatted apart; a None
+    raises TypeError at the window's comparison."""
+    tokens = []
+    prev, lo, hi = math.nan, math.inf, 0.0  # no window carried yet
+    for x in values:
+        if x != prev:
+            prev = x
+            if lo <= x < hi:
+                token = f"{x:{spec}}"
+            elif 0.0 < x < math.inf:
+                lo, hi, spec, carry, up = _window(math.floor(math.log10(x)))
+                token = f"{x:{spec}}"
+                # The token sits in the next decade only if its rounding crossed
+                # into it (0.9999999996 -> 1.000000000) or log10 undershot, and the
+                # text tells: a 0 holds the first significant place.  log10 overshoots
+                # only within 1e-12 below 10**e, which x rounds up to.
+                if token[carry] == "0":
+                    token = f"{x:{up}}"
+            else:
+                token = ("0.00000000" if x == 0.0 else "-" + format_sig(-x) if -math.inf < x < 0.0
+                         else "null" if as_json else f"{x}")
+        tokens.append(token)
+    return tokens
+
+
+@functools.cache
+def _window(e: int) -> tuple[float, float, str, int, str]:
+    """Decade e's window, from LO[e], the smallest double >= 10**e, up to the
+    first double that rounds into decade e + 1 (9.999999995 * 10**e on); its
+    spec of max(8 - e, 0) decimals; where its tokens hold their first significant
+    digit (0 from 10**8 up: no decimals either side); and decade e + 1's spec."""
+    spec = f".{max(8 - e, 0)}f"
+    return _least(1, e), _least(9999999995, e - 9), spec, abs(e) + 1 if e < 8 else 0, f".{max(7 - e, 0)}f"
+
+
+def _least(n: int, e: int) -> float:
+    """The smallest double >= n * 10**e (inf past the largest), by exact integer ratios."""
+    near = float(f"{n}e{e}")
+    a, b = near.as_integer_ratio() if near < math.inf else (1, 0)
+    return math.nextafter(near, math.inf) if a * 10 ** max(-e, 0) < n * b * 10 ** max(e, 0) else near
 
 
 def _linspace(lo: float, hi: float, n: int) -> Iterator[float]:
@@ -116,11 +134,7 @@ class SweepSpec(_Record):
         _require_gamma(gamma)
         _require_phase(theta)
         for lo, hi, steps in (k_min, k_max, k_steps), (p_min, p_max, p_steps):
-            try:  # a count beyond a double has no spacing
-                float(steps - 1)
-            except OverflowError:
-                raise DomainError(f"range {lo!r}:{hi!r} has too many steps for a floating-point spacing"
-                                  " (about 1.8e308 at most)") from None
+            _require_spacing(steps, f"range {lo!r}:{hi!r} has too many steps for a floating-point spacing")
         if p_steps > MAX_PRIORS:
             raise DomainError(f"p_steps must be at most {MAX_PRIORS}, got {p_steps}")
         c, ps = gamma * math.cos(theta % _TWO_PI), tuple(_linspace(p_min, p_max, p_steps))
@@ -198,19 +212,17 @@ _JSON = (
 
 
 def _render(blocks: Iterable[tuple], as_json: bool) -> Iterator[str]:
-    """The text of a sweep, one chunk per block, every number formatted by
-    format_sig, or in JSON by `_json_number`; a None result in a block that
-    is not degenerate raises TypeError.
+    """The text of a sweep, one chunk per block; a None result in a block
+    that is not degenerate raises TypeError.
 
-    Each value is formatted once where the grid repeats it: k and delta once
-    per block; p once per run of blocks with equal priors and d_err once per
-    run with equal d_err values, each every block of a spec; o_err not at all
-    where it equals d_err (the useless region); a_qod and a_d only where they
-    differ from the previous cell's (a_qod = 1 across the useless region,
-    a_d = 1/r11 for every p < 1/2).  Equal floats print equal tokens, -0.0
-    and 0.0 included, and NaN equals nothing, so the text is that of
-    formatting every value."""
-    number = _json_number if as_json else format_sig
+    Each block's k, delta and a_qod, p_err_spade and a_d columns are one
+    `_format_run`, where a value equal to its neighbour shares its token
+    (a_qod = 1 across the useless region, a_d = 1/r11 for every p < 1/2).
+    p is formatted once per run of blocks with equal priors, gamma and theta
+    once per run with equal coherence, d_err once per run with equal d_err
+    values, and o_err not where it equals d_err (the useless region).  Equal
+    floats print equal tokens, -0.0 and 0.0 included, and NaN equals
+    nothing, so the text is that of formatting every value."""
     opening, before, end, sep, closing = _JSON if as_json else _CSV
     b_k, b_p, b_gamma, b_theta, b_delta, b_o, b_d, b_a, b_pe, b_ad, b_u = before
     missing = "null" if as_json else ""
@@ -219,30 +231,31 @@ def _render(blocks: Iterable[tuple], as_json: bool) -> Iterator[str]:
     useless_ends = f"{b_u}false{end}", f"{b_u}true{end}"
     yield opening
     lead = ""  # what goes before a block: sep, from the second block on
-    last_ps = p_tokens = last_ds = d_cells = None
-    last_a = last_ad = math.nan  # the previous cell's a_qod and a_d
+    last_ps = p_tokens = last_ds = d_tokens = last_coherence = None
     for k, gamma, theta, delta, ps, records in blocks:
         if ps != last_ps:
-            last_ps, p_tokens = ps, [number(p) for p in ps]
-        head = f"{b_k}{number(k)}{b_p}"
-        coherence = f"{b_gamma}{number(gamma)}{b_theta}{number(theta)}{b_delta}"
+            last_ps, p_tokens = ps, _format_run(ps, as_json)
+        if (gamma, theta) != last_coherence:
+            g, t = _format_run((gamma, theta), as_json)
+            last_coherence, coherence = (gamma, theta), f"{b_gamma}{g}{b_theta}{t}{b_delta}"
         if records is None:
-            tail = f"{coherence}{missing}{no_results}"
+            head, tail = f"{b_k}{_format_run((k,), as_json)[0]}{b_p}", f"{coherence}{missing}{no_results}"
             lines = [f"{head}{p}{tail}" for p in p_tokens]
         else:
-            ds = [r[6] for r in records]
+            os, ds, qs, pes, ads, useless = list(zip(*records))[5:11]
             if ds != last_ds:
-                last_ds, d_cells = ds, [(d, t, f"{b_d}{t}{b_a}") for d, t in zip(ds, map(number, ds))]
-            mid = f"{coherence}{number(delta)}{b_o}"
-            lines = []
-            for p, (d_err, d_token, d_cell), r in zip(p_tokens, d_cells, records):
-                if r[7] != last_a:
-                    last_a, a_cell = r[7], f"{number(r[7])}{b_pe}"
-                if r[9] != last_ad:
-                    last_ad, ad_cell = r[9], f"{b_ad}{number(r[9])}"
-                o_token = d_token if r[5] == d_err else number(r[5])
-                lines.append(
-                    f"{head}{p}{mid}{o_token}{d_cell}{a_cell}{number(r[8])}{ad_cell}{useless_ends[r[10]]}")
+                last_ds, d_tokens = ds, _format_run(ds, as_json)
+            n = len(ds)
+            k_token, delta_token, *tokens = _format_run(
+                (k, delta, *qs, *pes, *ads, *[o for o, d in zip(os, ds) if o != d]), as_json)
+            head, mid = f"{b_k}{k_token}{b_p}", f"{coherence}{delta_token}{b_o}"
+            o_tokens = iter(tokens[3 * n:])
+            lines = [
+                f"{head}{p}{mid}{d_token if o == d else next(o_tokens)}{b_d}{d_token}{b_a}{a}"
+                f"{b_pe}{pe}{b_ad}{ad}{useless_ends[u]}"
+                for p, o, d, d_token, a, pe, ad, u in zip(
+                    p_tokens, os, ds, d_tokens, tokens, tokens[n:], tokens[2 * n:], useless)
+            ]
         yield lead + sep.join(lines)
         lead = sep
     yield closing

@@ -73,15 +73,12 @@ class TestSpatialGrid:
 
     @pytest.mark.parametrize("n_points", [MAX_POINTS + 1, 10**9, 10**300])
     def test_more_points_are_refused_before_sampling(self, n_points):
-        message = f"n_points must be at most {MAX_POINTS}, got {n_points}$"
-        grid = SpatialGrid.for_separation(1.0, n_points)
-        grid.require_accuracy(1.0)  # accurate enough, but too large to hold
+        # Accurate enough, but too large to hold: refused when the grid is built.
+        message = f"^n_points must be at most {MAX_POINTS}, got {n_points}$"
         with pytest.raises(DomainError, match=message):
-            grid.xs
+            SpatialGrid.for_separation(1.0, n_points)
         with pytest.raises(DomainError, match=message):
-            psf_state(grid, 0.0)
-        with pytest.raises(DomainError, match=message):
-            grid_overlap(1.0, grid)
+            SpatialGrid(-8.0, 8.0, n_points)
         with pytest.raises(DomainError, match=message):
             equivalence_report(n_points=n_points)
 

@@ -116,14 +116,19 @@ class TestCountChecks:
         self.USES[field](built)
         # Compared as an int, never through float: 2**60 + 1 has no double.
         big = 2**60 + 1
-        if field == "p_steps":  # a sweep holds at most MAX_PRIORS priors
-            with pytest.raises(DomainError, match=f"^p_steps must be at most 100000, got {big}$"):
+        # A sweep holds at most MAX_PRIORS priors and a grid MAX_POINTS points.
+        limits = {"p_steps": 100000, "n_points": 1000000}
+        if field in limits:
+            with pytest.raises(DomainError, match=f"^{field} must be at most {limits[field]}, got {big}$"):
                 self.MAKERS[field](big)
         else:
             assert getattr(self.MAKERS[field](big), field) == big
-        # Beyond a double, a sweep has no spacing; the other counts are kept.
+        # Beyond a double, a sweep and a grid have no spacing; the other counts are kept.
         if field.endswith("_steps"):
             with pytest.raises(DomainError, match=r"^range 0\.0:1\.0 has too many steps for a floating-point"):
+                self.MAKERS[field](10**400)
+        elif field == "n_points":
+            with pytest.raises(DomainError, match=r"^n_points too large for a floating-point grid spacing"):
                 self.MAKERS[field](10**400)
         else:
             assert getattr(self.MAKERS[field](10**400), field) == 10**400

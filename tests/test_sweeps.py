@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import struct
 import tracemalloc
 from decimal import ROUND_HALF_EVEN, Context, Decimal
@@ -24,7 +25,7 @@ from cohdet import (
     sweep_rows,
 )
 import cohdet.sweeps
-from cohdet.sweeps import SweepRow, _blocks, format_sig, stream_sweep
+from cohdet.sweeps import SweepRow, _blocks, _format_run, format_sig, stream_sweep
 
 COLUMNS = CSV_HEADER.split(",")
 
@@ -138,6 +139,56 @@ class TestFormatSig:
     def test_equals_the_exact_rule_on_any_bit_pattern(self, bits):
         x = _double(bits)
         assert format_sig(x) == exact_sig(x)
+
+
+class TestFormatRun:
+    """A run carries the decade of its last positive value and shares the token
+    of a value equal to its neighbour; every token must still be exact_sig's."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_log_uniform_runs(self, seed):
+        rng = random.Random(seed)
+        scattered = [10.0 ** rng.uniform(-300, 300) for _ in range(5000)]
+        walk, exponent = [], rng.uniform(-300, 300)  # small steps: decades carried, then crossed
+        for _ in range(5000):
+            exponent = min(max(exponent + rng.gauss(0.0, 0.05), -300.0), 300.0)
+            walk.append(10.0 ** exponent)
+        for run in scattered, walk:
+            assert _format_run(run) == [exact_sig(x) for x in run]
+
+    def test_walks_up_and_down_across_every_decade(self):
+        # Each 10**e and each 9.999999995 * 10**(e-1), where a 9-digit rounding
+        # carries into the next decade, with two doubles either side, for every
+        # decade a double has, walked upwards and then back down in one run.
+        up = []
+        for e in range(-323, 309):
+            for anchor in (float(f"9.999999995e{e - 1}"), float(f"1e{e}")):
+                bits = _bits(anchor)
+                up += [_double(b) for b in range(max(bits - 2, 0), bits + 3)]
+        run = up + up[::-1]
+        assert len(run) == 12640
+        assert _format_run(run) == [exact_sig(x) for x in run]
+
+    def test_repeats_and_specials_inside_a_run(self):
+        nan, inf = math.nan, math.inf
+        run = [
+            0.5, 0.5, nan, nan, 0.5, 0.25, 0.25, nan, 0.25, 1.0, 1.0, 0.9999999996, 0.9999999996, 0.3,
+            inf, 0.31, -inf, 0.32, 0.0, 0.33, -0.0, 0.0, 0.34, -0.35, -0.35, 0.36, 5e-324, 0.37,
+            -2.2250738585072014e-308, 0.38, 1e-314, 1e300, 1.7976931348623157e308, 0.39, inf, inf,
+        ]
+        tokens = _format_run(run)
+        assert tokens == [exact_sig(x) for x in run]
+        assert _format_run(run, as_json=True) == [exact_sig(x) if math.isfinite(x) else "null" for x in run]
+        # Equal neighbours share one token, -0.0 and 0.0 included; NaN equals nothing.
+        shared = [i for i in range(1, len(run)) if tokens[i] is tokens[i - 1]]
+        assert shared == [i for i in range(1, len(run)) if run[i] == run[i - 1]] == [1, 6, 10, 12, 21, 24, 35]
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    @pytest.mark.parametrize("run", [[None], [None, None], [0.5, None], [0.5, 0.5, None, None], [math.nan, None]])
+    def test_a_none_inside_a_run_raises(self, run, as_json):
+        # None != None is false, so a None is refused by the decade window, not by the repeat check.
+        with pytest.raises(TypeError):
+            _format_run(run, as_json)
 
 
 class TestSweepSpec:
@@ -384,22 +435,24 @@ class TestFastPath:
         assert render_json(rows) == _reference_json(rows)
 
     def test_at_most_three_formatted_values_per_cell(self, monkeypatch):
-        # The golden map formats 4.06 values per cell when every result is
-        # formatted, and 2.91 with the repeats reused.
-        calls = []
+        # The golden map converts 4.06 values per cell when every result is
+        # converted, and 2.90 with the repeats reused: a run converts each
+        # value that differs from its neighbour.
+        converted = []
 
-        def counted(x):
-            calls.append(x)
-            return format_sig(x)
+        def counted(values, as_json=False):
+            values = list(values)
+            converted.extend(x for x, prev in zip(values, [math.nan, *values]) if x != prev)
+            return _format_run(values, as_json)
 
-        monkeypatch.setattr(cohdet.sweeps, "format_sig", counted)
+        monkeypatch.setattr(cohdet.sweeps, "_format_run", counted)
         spec = SweepSpec(0.0, 5.0, 101, 0.0, 1.0, 101, gamma=0.1, theta=0.0)
         cells = 101 * 101
         "".join(stream_sweep(spec))
-        assert len(calls) <= 3 * cells
-        calls.clear()
+        assert 2 * cells < len(converted) <= 3 * cells
+        converted.clear()
         render_csv(sweep_rows(spec))
-        assert len(calls) <= 3 * cells
+        assert 2 * cells < len(converted) <= 3 * cells
 
     def test_hand_built_rows_with_empty_results(self):
         # Complete hand-built rows render cell by cell, inf and nan included
