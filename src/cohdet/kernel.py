@@ -40,7 +40,6 @@ from typing import NamedTuple
 
 from .errors import DegenerateScenarioError, DomainError
 
-_TWO_PI = 2.0 * math.pi
 _hypot, _inf = math.hypot, math.inf
 
 
@@ -131,10 +130,10 @@ class ScenarioParams(_Record):
 
     k        source separation in units of the PSF width, >= 0
     gamma    coherence strength between the two sources, in [0, 1]
-    theta    coherence phase in radians (stored reduced to [0, 2*pi))
+    theta    coherence phase in radians, stored as given
     p        prior probability that the second source exists, in [0, 1]
     delta    overlap(k), computed at construction; not part of repr, == or hash
-    c        gamma*cos(theta) of the reduced theta, as a sweep forms it; likewise
+    c        gamma*cos(theta), as a sweep forms it; likewise
     _pair    `_pair_terms` of (delta, 1 - delta from k, c), likewise
     _record  `_prior_terms` of (_pair, p), likewise: the scenario's one pass
              through the kernel, which every scalar result reads
@@ -149,7 +148,6 @@ class ScenarioParams(_Record):
         _require_phase(theta)
         _require_separation(k)
         _require_gamma(gamma)
-        theta %= _TWO_PI
         delta, dm = _separation_terms(k)
         c = gamma * math.cos(theta)
         pair = _pair_terms(delta, dm, c)

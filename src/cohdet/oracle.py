@@ -49,10 +49,12 @@ _COLINEAR_EPS = 1e-7
 
 class SpatialGrid(_Record):
     """Uniform 1-D sampling window for the image-plane wavefunctions, in
-    units of the PSF width sigma."""
+    units of the PSF width sigma, sampled when built: `spacing` is the step
+    between points and `xs` the points x_min + i*spacing, ending exactly at
+    x_max, as a tuple that no caller can change."""
 
-    __slots__ = ("x_min", "x_max", "n_points", "_xs")
     _fields = ("x_min", "x_max", "n_points")
+    __slots__ = (*_fields, "spacing", "xs")
 
     def __init__(self, x_min: float, x_max: float, n_points: int = 4001) -> None:
         if not (math.isfinite(x_min) and math.isfinite(x_max)) or x_max <= x_min:
@@ -61,7 +63,9 @@ class SpatialGrid(_Record):
         _require_spacing(n_points, "n_points too large for a floating-point grid spacing")
         if n_points > MAX_POINTS:
             raise DomainError(f"n_points must be at most {MAX_POINTS}, got {n_points}")
-        for name, value in zip(self.__slots__, (x_min, x_max, n_points, None)):
+        spacing = (x_max - x_min) / (n_points - 1)
+        xs = tuple([x_min + i * spacing for i in range(n_points - 1)]) + (x_max,)
+        for name, value in zip(self.__slots__, (x_min, x_max, n_points, spacing, xs)):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -70,21 +74,6 @@ class SpatialGrid(_Record):
         midpoint k/2; 4001 points keep the spacing at (16 + k)/4000."""
         _require_separation(k)
         return cls(-8.0, 8.0 + k, n_points)
-
-    @property
-    def spacing(self) -> float:
-        """The step between points."""
-        return (self.x_max - self.x_min) / (self.n_points - 1)
-
-    @property
-    def xs(self) -> tuple[float, ...]:
-        """The points x_min + i*spacing, ending exactly at x_max, built on
-        first use as a tuple that no caller can change."""
-        if self._xs is None:
-            x_min, step = self.x_min, self.spacing
-            xs = tuple([x_min + i * step for i in range(self.n_points - 1)]) + (self.x_max,)
-            object.__setattr__(self, "_xs", xs)
-        return self._xs
 
     def require_accuracy(self, k: float) -> None:
         """Reject grids that cannot support the promised TOLERANCE agreement

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from .errors import DegenerateScenarioError, DomainError
 from .kernel import (
-    _TWO_PI, _pair_terms, _prior_terms, _Record, _require_count, _require_gamma, _require_phase,
+    _pair_terms, _prior_terms, _Record, _require_count, _require_gamma, _require_phase,
     _require_spacing, _separation_terms,
 )
 
@@ -111,7 +111,7 @@ def _linspace(lo: float, hi: float, n: int) -> Iterator[float]:
 
 class SweepSpec(_Record):
     """Rectangular (k, p) grid at fixed coherence, checked whole when built.
-    _c (c as `ScenarioParams` forms it) and _ps (the priors) serve every k."""
+    _c (gamma*cos(theta), as in `ScenarioParams`) and _ps (the priors) serve every k."""
 
     _fields = ("k_min", "k_max", "k_steps", "p_min", "p_max", "p_steps", "gamma", "theta")
     __slots__ = (*_fields, "_c", "_ps")
@@ -137,7 +137,7 @@ class SweepSpec(_Record):
             _require_spacing(steps, f"range {lo!r}:{hi!r} has too many steps for a floating-point spacing")
         if p_steps > MAX_PRIORS:
             raise DomainError(f"p_steps must be at most {MAX_PRIORS}, got {p_steps}")
-        c, ps = gamma * math.cos(theta % _TWO_PI), tuple(_linspace(p_min, p_max, p_steps))
+        c, ps = gamma * math.cos(theta), tuple(_linspace(p_min, p_max, p_steps))
         values = k_min, k_max, k_steps, p_min, p_max, p_steps, gamma, theta, c, ps
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)

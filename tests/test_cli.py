@@ -228,6 +228,13 @@ class TestSweepCommands:
         assert (code, out) == (2, "")
         assert err == f"error: p_steps must be at most 100000, got {p_steps}\n"
 
+    def test_range_of_two_parts_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["advantage-map", "--k-range", "0:1", "--p-range", "0:1:2"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.endswith("error: argument --k-range: expected MIN:MAX:STEPS, got '0:1'\n")
+
     #: Each way a sweep's flags are refused, with the error that names it.
     REFUSALS = {
         "k-reversed": (["advantage-map", "--k-range", "1:0:2", "--p-range", "0:1:2"], "invalid k range [1.0, 0.0]"),
@@ -307,8 +314,7 @@ class TestTokens:
         ("2", "0", "0", "0.5"), ("1.3", "0.4", "0.7", "0.6"), ("0.5", "0.9", "1", "0.9"),
         ("0", "0.1", "0", "0.5"), ("1e-160", "1", "1", "0.5"), ("3", "0.8", "-1.5", "0.05"),
     ]
-    #: theta is left out: bound prints it reduced to [0, 2*pi), the sweeps as given.
-    SHARED = ("delta", "o_err", "d_err", "a_qod", "useless")
+    SHARED = ("theta", "delta", "o_err", "d_err", "a_qod", "useless")
 
     def _tokens(self, capsys, *argv):
         """The SHARED tokens of one bound record or one-row sweep, as printed."""
@@ -333,7 +339,7 @@ class TestTokens:
         as_json = self._tokens(capsys, *bound, "--format", "json")
         assert as_json == self._tokens(capsys, *amap, "--format", "json")
         if k == "1e-160":
-            assert (text[3], as_json[3]) == ("inf", "null")
+            assert (text[4], as_json[4]) == ("inf", "null")
 
 
 class TestStdoutErrors:
@@ -469,6 +475,19 @@ class TestVerify:
             "verify: PASS\n"
         )
 
+    def test_report_above_tolerance_fails(self, capsys, monkeypatch):
+        report = cohdet.oracle.VerificationReport(0.0, 2e-6, 0.0)
+        monkeypatch.setattr(cohdet.oracle, "equivalence_report", lambda n_points: report)
+        code, out, err = run_cli(capsys, "verify")
+        assert (code, err) == (5, "")
+        assert out == (
+            "overlap max abs error = 0.00000000\n"
+            "rho2 max abs error = 0.00000200000000\n"
+            "helstrom max abs error = 0.00000000\n"
+            "tolerance = 0.00000100000000\n"
+            "verify: FAIL\n"
+        )
+
     def test_coarse_grid_fails(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--grid-points", "101")
         assert code == 5
@@ -528,9 +547,10 @@ class TestStartup:
     #: values that bound_report gives (and rho1 the constant Observable2(1.0, 0.0, 0.0)),
     #: formatter a second token path beside format_sig and the JSON null,
     #: _admissible_pair a second checked (delta, c) entry beside rho2,
-    #: effective_coherence a second definition of c, of the unreduced phase, and
-    #: spade_error a second route to the p_err_spade that every record holds.
-    DELETED = ("DensityMatrix2", "GridState", "IDENTITY_TOL", "_admissible_pair", "direct_error",
+    #: effective_coherence a second definition of c,
+    #: spade_error a second route to the p_err_spade that every record holds, and
+    #: _TWO_PI an inexact reduction of the phase, which math.cos reduces exactly.
+    DELETED = ("DensityMatrix2", "GridState", "IDENTITY_TOL", "_TWO_PI", "_admissible_pair", "direct_error",
                "effective_coherence", "eigenvalues_sym2", "formatter", "in_useless_region",
                "normalization", "rho1", "spade_error", "sweep_row", "trace_norm", "useless_boundary")
 

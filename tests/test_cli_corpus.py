@@ -58,7 +58,7 @@ def _sweep_argv():
     maps = [["advantage-map", "--gamma", "0.9", "--theta=-7", "--k-range", "0:5:41", "--p-range", "0:1:41",
              "--format", fmt] for fmt in ("csv", "json")]
     maps += [["advantage-map", "--gamma", "1", phase, "--k-range", "0:4:11", "--p-range", "0:1:11"]
-             for phase in ("--theta=7", "--theta=1e9", "--theta-pi=1")]
+             for phase in ("--theta=7", "--theta=1e9", "--theta-pi=1", "--theta=1e12", "--theta=-1e15")]
     return curves + maps
 
 

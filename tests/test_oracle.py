@@ -108,6 +108,13 @@ class TestPsfState:
             with pytest.raises(GridAccuracyError):
                 psf_state(SpatialGrid(-8.0, 8.0), 1000.0)
 
+    def test_state_at_the_window_edge_refused(self):
+        # a handful of samples in the tail: nonzero, but the renormalized
+        # norm misses 1 (at 46.0 it still passes; from 46.5 it vanishes)
+        psf_state(SpatialGrid(-8.0, 8.0), 46.0)
+        with pytest.raises(GridAccuracyError, match=r"^state norm \S+ deviates from 1 beyond 1e-8$"):
+            psf_state(SpatialGrid(-8.0, 8.0), 46.2)
+
 
 class TestGridOverlap:
     def test_coincident(self):
@@ -167,6 +174,11 @@ class TestGridRho2:
     def test_rejects_bad_coherence(self):
         with pytest.raises(DomainError):
             grid_rho2(1.0, 1.5)
+
+    def test_quadrature_at_the_singular_point_refused(self):
+        # the closed form's 1 + delta*c is k**2/8 > 0, but the quadrature's overlap rounds to 1
+        with pytest.raises(GridAccuracyError, match=r"^quadrature puts 1 \+ delta\*c at 0\.0, not above 0$"):
+            grid_rho2(1e-9, -1.0)
 
     @pytest.mark.parametrize("k", [0.01, 1e-3, 1e-4])
     def test_returns_next_to_singular_point(self, k):

@@ -16,7 +16,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ROOT
@@ -75,6 +75,24 @@ def test_domain(k, gamma, theta, p):
     # strategy below reaches c = -1 exactly.
     assume(abs(gamma * math.cos(theta)) <= 0.99)
     check_scenario(k, gamma, p, theta=theta)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    k=st.one_of(st.just(0.0), st.floats(1e-8, 12.0)),
+    gamma=st.floats(0.0, 1.0),
+    theta=st.floats(-1e15, 1e15),
+    p=PRIORS,
+)
+@example(k=1.0, gamma=1.0, theta=1e9, p=0.5)
+@example(k=1.0, gamma=1.0, theta=1e12, p=0.5)
+@example(k=1.0, gamma=1.0, theta=-1e15, p=0.5)
+def test_phase_as_given(k, gamma, theta, p):
+    # math.cos reduces any phase exactly, so a phase of many turns, kept as
+    # given, is as accurate as one in [0, 2*pi).
+    assume(abs(gamma * math.cos(theta)) <= 0.99)
+    check_scenario(k, gamma, p, theta=theta)
+    assert ScenarioParams(k, gamma, theta, p).theta == theta
 
 
 @settings(max_examples=150, deadline=None)

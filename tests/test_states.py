@@ -60,7 +60,7 @@ class TestOverlap:
 
 
 class TestEffectiveCoherence:
-    """c = gamma*cos(theta), as ScenarioParams forms it from the reduced phase."""
+    """c = gamma*cos(theta), as ScenarioParams forms it from the phase as given."""
 
     def test_simple_values(self):
         assert ScenarioParams(1.0, 0.1, 0.0).c == 0.1
@@ -241,9 +241,12 @@ class TestLambdaMatrix:
 
 
 class TestScenarioParams:
-    def test_angle_reduced_into_principal_range(self):
-        params = ScenarioParams(k=1.0, gamma=0.5, theta=2.0 * math.pi + 0.25, p=0.5)
-        assert params.theta == pytest.approx(0.25, abs=1e-12)
+    def test_angle_stored_as_given(self):
+        theta = 2.0 * math.pi + 0.25
+        params = ScenarioParams(k=1.0, gamma=0.5, theta=theta, p=0.5)
+        assert params.theta == theta and params.c == 0.5 * math.cos(theta)
+        # one scenario in the model, two in the record: it keeps the phase it was given
+        assert params != ScenarioParams(k=1.0, gamma=0.5, theta=theta - 2.0 * math.pi, p=0.5)
 
     def test_rejects_degenerate_point(self):
         with pytest.raises(DegenerateScenarioError):
@@ -303,8 +306,8 @@ class TestScenarioParams:
 
     def test_repr_eq_and_hash_ignore_derived_values(self):
         params = ScenarioParams(k=1.5, gamma=0.25, theta=7.0, p=0.125)
-        assert repr(params) == f"ScenarioParams(k=1.5, gamma=0.25, theta={7.0 - 2.0 * math.pi!r}, p=0.125)"
-        twin = ScenarioParams(k=1.5, gamma=0.25, theta=7.0 - 2.0 * math.pi, p=0.125)
+        assert repr(params) == "ScenarioParams(k=1.5, gamma=0.25, theta=7.0, p=0.125)"
+        twin = ScenarioParams(k=1.5, gamma=0.25, theta=7.0, p=0.125)
         assert twin == params and hash(twin) == hash(params)
         assert hash(params) == hash((params.k, params.gamma, params.theta, params.p))
         object.__setattr__(twin, "delta", 0.0)
