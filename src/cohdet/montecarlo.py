@@ -179,7 +179,7 @@ def run_simulation(config: TrialConfig) -> EmpiricalResult:
 
     rate = params._record[8]  # p_err_spade, p * q
     error_rate = n_errors / config.n_photons
-    std_err = math.sqrt(rate * (1.0 - rate) / config.n_photons)
+    std_err = math.sqrt(rate * (1.0 - rate)) / math.sqrt(config.n_photons)
     if std_err > 0.0:
         z_score = (error_rate - rate) / std_err
     else:

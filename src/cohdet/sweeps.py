@@ -28,8 +28,8 @@ from typing import NamedTuple
 
 from .errors import DegenerateScenarioError, DomainError
 from .kernel import (
-    _pair_terms, _prior_terms, _Record, _require_count, _require_gamma, _require_phase,
-    _require_spacing, _separation_terms,
+    _pair_terms, _prior_terms, _Record, _require_count, _require_gamma, _require_phase, _require_prior,
+    _require_separation, _require_spacing, _separation_terms,
 )
 
 CSV_HEADER = "k,p,gamma,theta,delta,o_err,d_err,a_qod,p_err_spade,a_d,useless"
@@ -111,6 +111,9 @@ def _linspace(lo: float, hi: float, n: int) -> Iterator[float]:
 
 class SweepSpec(_Record):
     """Rectangular (k, p) grid at fixed coherence, checked whole when built.
+    Each endpoint meets the check `ScenarioParams` (so `bound`) gives its k or p,
+    in its words, then that axis's reversed-range and count checks, k before p;
+    gamma, phase, spacing and MAX_PRIORS follow.
     _c (gamma*cos(theta), as in `ScenarioParams`) and _ps (the priors) serve every k."""
 
     _fields = ("k_min", "k_max", "k_steps", "p_min", "p_max", "p_steps", "gamma", "theta")
@@ -121,16 +124,15 @@ class SweepSpec(_Record):
         gamma: float = 0.0, theta: float = 0.0,
     ) -> None:
         counts = []
-        for name, lo, hi, steps in (("k", k_min, k_max, k_steps), ("p", p_min, p_max, p_steps)):
-            if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
+        for name, lo, hi, steps, require in (("k", k_min, k_max, k_steps, _require_separation),
+                                             ("p", p_min, p_max, p_steps, _require_prior)):
+            require(lo)
+            require(hi)
+            if lo > hi:
                 raise DomainError(f"invalid {name} range [{lo!r}, {hi!r}]")
             counts.append(_require_count(
                 steps, 2 if lo < hi else 1, f"{name}_steps must be >= 2 for a true interval"))
         k_steps, p_steps = counts
-        if k_min < 0.0:
-            raise DomainError(f"k range must be nonnegative, got min {k_min!r}")
-        if p_min < 0.0 or p_max > 1.0:
-            raise DomainError(f"p range must lie in [0, 1], got [{p_min!r}, {p_max!r}]")
         _require_gamma(gamma)
         _require_phase(theta)
         for lo, hi, steps in (k_min, k_max, k_steps), (p_min, p_max, p_steps):

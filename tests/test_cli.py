@@ -239,11 +239,11 @@ class TestSweepCommands:
     REFUSALS = {
         "k-reversed": (["advantage-map", "--k-range", "1:0:2", "--p-range", "0:1:2"], "invalid k range [1.0, 0.0]"),
         "k-negative": (["advantage-map", "--k-range=-1:1:2", "--p-range", "0:1:2"],
-                       "k range must be nonnegative, got min -1.0"),
+                       "separation k must be finite and >= 0, got -1.0"),
         "k-one-step": (["spade", "--k-range", "0:1:1"], "k_steps must be >= 2 for a true interval, got 1"),
         "p-outside": (["advantage-map", "--k-range", "0:1:2", "--p-range", "0:2:3"],
-                      "p range must lie in [0, 1], got [0.0, 2.0]"),
-        "spade-p": (["spade", "--k-range", "0:1:2", "--p", "2"], "p range must lie in [0, 1], got [2.0, 2.0]"),
+                      "prior p must lie in [0, 1], got 2.0"),
+        "spade-p": (["spade", "--k-range", "0:1:2", "--p", "2"], "prior p must lie in [0, 1], got 2.0"),
         "gamma": (["advantage-map", "--k-range", "0:1:2", "--p-range", "0:1:2", "--gamma", "1.5"],
                   "coherence strength gamma must lie in [0, 1], got 1.5"),
         "theta": (["spade", "--k-range", "0:1:2", "--theta", "inf"], "coherence phase theta must be finite, got inf"),
@@ -295,6 +295,18 @@ class TestSweepCommands:
             assert (code, out) == (2, "")
             errors.add(err)
         assert len(errors) == 1, errors
+
+    @pytest.mark.parametrize("scalar, sweep", [
+        (("--k", "1", "--p", "2"), ("spade", "--k-range", "0:1:2", "--p", "2")),
+        (("--k", "1", "--p", "nan"), ("spade", "--k-range", "0:1:2", "--p", "nan")),
+        (("--k", "-1"), ("advantage-map", "--k-range=-1:1:3", "--p-range", "0:1:2")),
+        (("--k", "inf"), ("advantage-map", "--k-range", "0:inf:3", "--p-range", "0:1:2")),
+    ])
+    def test_bad_endpoint_words_as_bound_does(self, capsys, scalar, sweep):
+        # a sweep's endpoints meet the checks a scenario's k and p meet
+        refused = run_cli(capsys, "bound", *scalar)
+        assert refused[:2] == (2, "") and refused[2].startswith("error: ")
+        assert run_cli(capsys, *sweep) == refused
 
     def test_json_format(self, capsys):
         code, out, err = run_cli(
@@ -420,11 +432,21 @@ class TestSimulate:
         assert json.loads(out)["n_trials"] == 10000
         assert out == run_cli(capsys, *args, "--photons", "10000")[1]
 
-    @pytest.mark.parametrize("photons", ["1.5", "many", "nan", "inf"])
+    #: A float is judged by TrialConfig's count check; a non-number by argparse,
+    #: whose SystemExit(2) `run_in_process` reports as code None.
+    PHOTON_REFUSALS = {
+        "1.5": (2, "error: n_photons must be a positive integer, got 1.5\n"),
+        "many": (None, "cohdet simulate: error: argument --photons: invalid float value: 'many'\n"),
+        "nan": (2, "error: n_photons must be a positive integer, got nan\n"),
+        "inf": (2, "error: n_photons must be a positive integer, got inf\n"),
+    }
+
+    @pytest.mark.parametrize("photons", list(PHOTON_REFUSALS))
     def test_photons_rejects_non_integral_values(self, photons):
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--k", "1", "--photons", photons])
-        assert exc.value.code == 2
+        code, error = self.PHOTON_REFUSALS[photons]
+        refused = run_in_process(["simulate", "--k", "1", "--photons", photons])
+        assert refused[:2] == (code, "")
+        assert refused[2].endswith(error) and refused[2].count("error") == 1
 
     @pytest.mark.parametrize(
         "photons, epsilon", [("1000", "1e-16"), ("1", "1e-300"), ("1e7", "1e-12")]
@@ -448,6 +470,38 @@ class TestSimulate:
             '"std_err": 0.0157143861, "analytic_p_err": 0.444700196, '
             '"z_score": -0.935461025, "n_attempts": 972119723739581416}\n'
         )
+
+    @pytest.mark.parametrize("seed, z_score", [("731", "3.57565616"), ("2107", "-3.27506475")])
+    def test_beyond_three_sigma_exits_5_with_its_record(self, capsys, seed, z_score):
+        code, out, err = run_cli(capsys, "simulate", "--k", "1", "--gamma", "0.5", "--photons", "1000",
+                                 "--seed", seed)
+        assert (code, err) == (5, "")
+        assert strict_json(out)["n_trials"] == 1000 and out.endswith(f'"z_score": {z_score}}}\n')
+
+    def test_within_three_sigma_exits_0(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--k", "1", "--gamma", "0.5", "--photons", "1000",
+                                 "--seed", "3")
+        assert (code, err) == (0, "")
+        assert out.endswith('"z_score": -1.11835632}\n')
+
+    @pytest.mark.parametrize("z_score", [3.0, -3.0])
+    def test_exactly_three_sigma_exits_0(self, capsys, monkeypatch, z_score):
+        import cohdet.montecarlo
+
+        result = cohdet.montecarlo.EmpiricalResult(10, 5, 0.5, 0.1, 0.2, z_score)
+        monkeypatch.setattr(cohdet.montecarlo, "run_simulation", lambda config: result)
+        code, out, err = run_cli(capsys, "simulate", "--k", "1", "--photons", "10")
+        assert (code, err) == (0, "")
+        assert strict_json(out)["z_score"] == z_score
+
+    def test_subnormal_rate_passes(self, capsys):
+        # zero errors is the expected count at a rate of 8.9e-321, where
+        # rate * (1 - rate) / n underflows to 0 but sqrt(rate * (1 - rate)) / sqrt(n) does not
+        code, out, err = run_cli(capsys, "simulate", "--k", "1", "--p", "1e-320", "--photons", "100000",
+                                 "--seed", "1")
+        record = strict_json(out)
+        assert (code, err, record["n_errors"]) == (0, "", 0)
+        assert record["std_err"] > 0.0 and -3.0 <= record["z_score"] <= 0.0
 
     def test_zero_photons_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "--k", "1", "--photons", "0")
@@ -476,6 +530,8 @@ class TestVerify:
         )
 
     def test_report_above_tolerance_fails(self, capsys, monkeypatch):
+        import cohdet.oracle
+
         report = cohdet.oracle.VerificationReport(0.0, 2e-6, 0.0)
         monkeypatch.setattr(cohdet.oracle, "equivalence_report", lambda n_points: report)
         code, out, err = run_cli(capsys, "verify")

@@ -72,7 +72,18 @@ def _other_argv():
         ["advantage-map", "--k-range", "0:1:2", "--p-range", "0:1:100001"],
         ["spade", "--k-range", f"0:1:{10**400}"],
     ]
-    return simulate + [["verify", "--grid-points", "1001"]] + refused
+    # Endpoints outside the domain, a fractional photon count, a rate that
+    # underflows rate * (1 - rate) / n, and a run beyond 3 sigma (exit 5).
+    added = [
+        ["spade", "--k-range", "0:1:2", "--p", "2"],
+        ["spade", "--k-range", "0:1:2", "--p", "nan"],
+        ["advantage-map", "--k-range=-1:1:3", "--p-range", "0:1:2"],
+        ["advantage-map", "--k-range", "0:inf:3", "--p-range", "0:1:2"],
+        ["simulate", "--k", "1", "--photons", "1.5"],
+        ["simulate", "--k", "1", "--p", "1e-320", "--photons", "100000", "--seed", "1"],
+        ["simulate", "--k", "1", "--gamma", "0.5", "--photons", "1000", "--seed", "731"],
+    ]
+    return simulate + [["verify", "--grid-points", "1001"]] + refused + added
 
 
 CORPUS = _bound_argv() + _sweep_argv() + _other_argv()

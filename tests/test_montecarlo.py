@@ -46,6 +46,10 @@ class TestTrialConfig:
         with pytest.raises(DomainError):
             TrialConfig(BASE, 100, 1, epsilon=eps)
 
+    def test_accepts_the_largest_epsilon_and_seed_zero(self):
+        config = TrialConfig(BASE, 10, 0, epsilon=0.1)
+        assert (config.seed, config.epsilon) == (0, 0.1)
+
 
 class TestRunSimulation:
     def test_reproducible(self):
@@ -62,8 +66,8 @@ class TestRunSimulation:
         config = TrialConfig(BASE, 10**6, 42)
         result = run_simulation(config)
         assert result.analytic_p_err == _prior_terms(_pair_terms(BASE.delta, 1.0 - BASE.delta, BASE.c), BASE.p)[8]
-        assert result.std_err == math.sqrt(
-            result.analytic_p_err * (1.0 - result.analytic_p_err) / result.n_trials
+        assert result.std_err == (
+            math.sqrt(result.analytic_p_err * (1.0 - result.analytic_p_err)) / math.sqrt(result.n_trials)
         )
         assert abs(result.error_rate - result.analytic_p_err) <= 3.0 * result.std_err
 

@@ -42,8 +42,9 @@ class TestSpatialGrid:
         assert grid.spacing <= 0.02
 
     def test_rejects_bad_windows(self):
-        with pytest.raises(DomainError):
-            SpatialGrid(1.0, 1.0)
+        for x_min, x_max in (1.0, 1.0), (-8.0, math.inf), (math.nan, 8.0), (-math.inf, 8.0):
+            with pytest.raises(DomainError, match="^invalid grid window"):
+                SpatialGrid(x_min, x_max)
         with pytest.raises(DomainError):
             SpatialGrid(0.0, 1.0, n_points=1)
 
@@ -55,6 +56,13 @@ class TestSpatialGrid:
         with pytest.raises(GridAccuracyError):
             SpatialGrid(-2.0, 3.0, n_points=2001).require_accuracy(1.0)  # too short
         SpatialGrid.for_separation(1.0).require_accuracy(1.0)
+        # spacing 0.02 and a window of exactly 2*MARGIN pass: only the point count refuses
+        with pytest.raises(GridAccuracyError, match=r"^need at least 1001 points, got 601$"):
+            SpatialGrid(-6.0, 6.0, 601).require_accuracy(0.0)
+        grid = SpatialGrid(-6.0, 6.0, 1201)  # a window exactly 2*MARGIN + k wide
+        grid.require_accuracy(0.0)
+        with pytest.raises(GridAccuracyError, match=r"too short for separation 1e-09$"):
+            grid.require_accuracy(1e-9)
 
     def test_weights_integrate_to_window_length(self):
         grid = SpatialGrid.for_separation(0.0, n_points=1601)

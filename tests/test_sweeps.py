@@ -215,6 +215,37 @@ class TestSweepSpec:
         with pytest.raises(DomainError):
             SweepSpec(**kwargs)
 
+    #: Endpoints on, next to and outside both domains: signed zeros, the least
+    #: subnormal, 1, just past 1, out of range, the infinities and nan.
+    ENDPOINTS = (0.0, -0.0, 5e-324, -5e-324, 1e-300, 1.0, 1.0000000000000002, 2.0, -1.0,
+                 math.inf, -math.inf, math.nan)
+
+    @staticmethod
+    def _scenario_refusal(**kwargs):
+        """The message ScenarioParams refuses a k or p with, or None."""
+        try:
+            ScenarioParams(**{"k": 1.0, "gamma": 0.0, "p": 0.5, **kwargs})
+        except DomainError as exc:
+            return str(exc)
+        return None
+
+    def test_endpoints_meet_the_scenario_checks(self):
+        # refused exactly where a scenario refuses an endpoint, in its words, or
+        # where a range is reversed; k before p, and in each min, max, then order
+        rng = random.Random(20261022)
+        for _ in range(5000):
+            k_min, k_max, p_min, p_max = (rng.choice(self.ENDPOINTS) for _ in range(4))
+            refusals = [message for name, lo, hi in (("k", k_min, k_max), ("p", p_min, p_max)) for message in (
+                self._scenario_refusal(**{name: lo}), self._scenario_refusal(**{name: hi}),
+                f"invalid {name} range [{lo!r}, {hi!r}]" if lo > hi else None) if message]
+            args = k_min, k_max, 3, p_min, p_max, 3
+            if not refusals:
+                assert SweepSpec(*args).k_max == k_max
+                continue
+            with pytest.raises(DomainError) as exc:
+                SweepSpec(*args)
+            assert type(exc.value) is DomainError and str(exc.value) == refusals[0], args
+
     @pytest.mark.parametrize("k_min, k_max, k_steps", [
         (1.0, 1.0, 1), (0.0, 5.0, 2), (0.0, 5.0, 3), (0.1, 7.3, 101), (1e-8, 4.0, 1000),
         (0.0, 5.0, 12345), (2.5, 2.5, 7),
